@@ -73,8 +73,8 @@ main()
                 t.statesExpanded += ha.refutation.exec.statesExpanded;
                 t.constPruned += ha.refutation.exec.constPruned;
             }
-            t.refutationMs += report.times.refutation * 1e3;
-            t.dataflowMs += report.times.dataflow * 1e3;
+            t.refutationMs += report.times[StageId::Refutation] * 1e3;
+            t.dataflowMs += report.times[StageId::Dataflow] * 1e3;
         }
         std::printf("%-14s %8d %8d %10d %10d %8lld %12.2f %12.2f\n",
                     configs[c].name, t.racy, t.refuted, t.surviving,

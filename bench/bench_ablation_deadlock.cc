@@ -53,7 +53,7 @@ main()
             t.surviving += report.afterRefutation;
             t.missedRaces +=
                 corpus::scoreReport(report, built.truth).missedTrueKeys;
-            t.deadlockMs += report.times.deadlock * 1e3;
+            t.deadlockMs += report.times[StageId::Deadlock] * 1e3;
         };
         for (const auto &spec : corpus::namedAppSpecs())
             run(corpus::buildNamedApp(spec));

@@ -62,8 +62,8 @@ main()
                 corpus::scoreReport(report, built.truth).missedTrueKeys;
             for (const auto &ha : report.perHarness)
                 t.queries += ha.enablementStats.queries;
-            t.enablementMs += report.times.enablement * 1e3;
-            t.refutationMs += report.times.refutation * 1e3;
+            t.enablementMs += report.times[StageId::Enablement] * 1e3;
+            t.refutationMs += report.times[StageId::Refutation] * 1e3;
         };
         for (const auto &spec : corpus::namedAppSpecs())
             run(corpus::buildNamedApp(spec));

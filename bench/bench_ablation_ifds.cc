@@ -71,8 +71,8 @@ main()
                 t.interPruned += ha.refutation.exec.interPruned;
                 t.interApplied += ha.refutation.exec.interApplied;
             }
-            t.ifdsMs += report.times.ifds * 1e3;
-            t.refutationMs += report.times.refutation * 1e3;
+            t.ifdsMs += report.times[StageId::Ifds] * 1e3;
+            t.refutationMs += report.times[StageId::Refutation] * 1e3;
 
             // Per-pair monotonicity: every race refuted without the
             // summaries must still be refuted with them (the facts

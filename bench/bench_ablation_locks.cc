@@ -65,9 +65,9 @@ main()
             t.accessesDropped += report.accessesDropped;
             t.missed +=
                 corpus::scoreReport(report, built.truth).missedTrueKeys;
-            t.escapeMs += report.times.escape * 1e3;
-            t.locksetMs += report.times.lockset * 1e3;
-            t.refutationMs += report.times.refutation * 1e3;
+            t.escapeMs += report.times[StageId::Escape] * 1e3;
+            t.locksetMs += report.times[StageId::Lockset] * 1e3;
+            t.refutationMs += report.times[StageId::Refutation] * 1e3;
         };
         for (const auto &spec : corpus::namedAppSpecs())
             run(corpus::buildNamedApp(spec));

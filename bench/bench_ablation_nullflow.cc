@@ -118,7 +118,7 @@ main()
             on.queries += ha.nullflowStats.queries;
             on.storesIndexed += ha.nullflowStats.storesIndexed;
         }
-        on.nullflowMs += report.times.nullflow * 1e3;
+        on.nullflowMs += report.times[StageId::Nullflow] * 1e3;
 
         for (const auto &seed : built.truth.seeded) {
             bool is_harmful_seed =

@@ -53,7 +53,7 @@ main()
             tp += score.truePositives;
             fp += score.falsePositives;
             missed += score.missedTrueKeys;
-            ms += report.times.refutation * 1e3;
+            ms += report.times[StageId::Refutation] * 1e3;
         }
         std::printf("%-18s %8d %8d %6d %6d %8d %10.2f\n", config.name,
                     racy, refuted, tp, fp, missed, ms);

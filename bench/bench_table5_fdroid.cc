@@ -29,9 +29,9 @@ main()
         ordered.push_back(s.orderedPct);
         racy.push_back(s.racyAs);
         after.push_back(s.afterRefutation);
-        cg.push_back(s.times.cgPa * 1e3);
-        hbg_t.push_back(s.times.hbg * 1e3);
-        refute.push_back(s.times.refutation * 1e3);
+        cg.push_back(s.times[StageId::CgPa] * 1e3);
+        hbg_t.push_back(s.times[StageId::Hbg] * 1e3);
+        refute.push_back(s.times[StageId::Refutation] * 1e3);
         total.push_back(s.times.total * 1e3);
         apps_with_fp += s.falsePositives > 0;
         apps_with_miss += s.missed > 0;

@@ -12,29 +12,28 @@ namespace store = analysis::store;
 uint64_t
 IncrementalAnalyzer::optionsFingerprint(const SierraOptions &o)
 {
-    // Only report-affecting stage toggles participate: two submissions
-    // under different toggles must never share artifacts, while jobs
-    // and metrics are free to vary (the pipeline is deterministic in
-    // both). Refuter budgets ride along for safety -- a budget change
-    // can flip a refutation verdict.
-    uint64_t bits = 0;
-    auto fold = [&](bool b) { bits = (bits << 1) | (b ? 1u : 0u); };
-    fold(o.runRefutation);
-    fold(o.effectPrefilter);
-    fold(o.escapeFilter);
-    fold(o.locksetRefutation);
-    fold(o.enablement);
-    fold(o.ifds);
-    fold(o.deadlock);
-    fold(o.icc);
-    fold(o.nullflow);
-    uint64_t h = store::mixHash(store::fnv64("sierra-options"), bits);
-    h = store::mixHash(
-        h, static_cast<uint64_t>(o.refuter.maxActionPairsPerRace));
-    h = store::mixHash(h, static_cast<uint64_t>(o.refuter.exec.maxPaths));
-    h = store::mixHash(h, static_cast<uint64_t>(o.refuter.exec.maxSteps));
-    h = store::mixHash(
-        h, static_cast<uint64_t>(o.refuter.exec.maxDepth));
+    // Two submissions under different report-affecting options must
+    // never share artifacts, while jobs and metrics are free to vary
+    // (the pipeline is deterministic in both). A field added to the
+    // options that can change a report must be folded here
+    // (incremental_test flips each folded field in turn).
+    uint64_t h = store::fnv64("sierra-options");
+    auto fold = [&h](auto... v) {
+        ((h = store::mixHash(h, static_cast<uint64_t>(v))), ...);
+    };
+    for (const Stage &stage : kStages) {
+        if (stage.toggle)
+            fold(o.*stage.toggle);
+    }
+    const analysis::ContextOptions &ctx = o.pta.ctx;
+    const symbolic::ExecutorOptions &exec = o.refuter.exec;
+    fold(o.icc, ctx.policy, ctx.k, ctx.heapK, ctx.inflatedViewContext,
+         o.pta.maxActions, o.pta.indexSensitiveArrays);
+    fold(o.hb.enableRule4, o.hb.enableRule5, o.hb.enableRule6,
+         o.hb.rule5MaxStates, o.racy.requireSameLooper);
+    fold(o.refuter.maxActionPairsPerRace, exec.maxPaths, exec.maxDepth,
+         exec.maxSteps, exec.maxCallDepth, exec.useNodeCache,
+         exec.useConstFacts);
     return h;
 }
 

@@ -64,8 +64,10 @@ class IncrementalAnalyzer
     IncrementalResult analyze(framework::App &app,
                               const SierraOptions &options);
 
-    /** The content-hash fingerprint of the ablation-relevant options
-     *  (jobs and metrics excluded: they never change reports). */
+    /** The content-hash fingerprint of every option that can change
+     *  a report: the stage toggles plus the analysis configuration.
+     *  Worker counts, the metrics registry and the non-owning pointer
+     *  fields are excluded -- they never change reports. */
     static uint64_t optionsFingerprint(const SierraOptions &options);
 
   private:

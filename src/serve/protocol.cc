@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "util/json_escape.hh"
+
 namespace sierra::serve {
 
 Json
@@ -83,24 +85,7 @@ void
 dumpString(std::string &out, const std::string &s)
 {
     out += '"';
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (c < 0x20) {
-                static const char *hex = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xf];
-                out += hex[c & 0xf];
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
+    util::appendJsonEscaped(out, s);
     out += '"';
 }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <map>
 #include <sstream>
-#include <string_view>
 #include <tuple>
 
 #include "air/logging.hh"
@@ -23,6 +22,214 @@ secondsSince(std::chrono::steady_clock::time_point start)
                std::chrono::steady_clock::now() - start)
         .count();
 }
+
+/** `stage.<name>.seconds`: the stage's duration histogram. */
+std::string
+histogramName(const Stage &stage)
+{
+    return std::string("stage.") + stage.name + ".seconds";
+}
+
+/**
+ * Run `fn` as one stage step under a `stage` trace span and return the
+ * seconds to charge it: its wall time, or the CPU `fn` reports when
+ * that is larger (work fanned out to worker threads, whose clocks the
+ * calling thread's wall time does not see).
+ */
+template <typename Fn>
+double
+timeStage([[maybe_unused]] const std::string &span_name,
+          [[maybe_unused]] const char *arg_key,
+          [[maybe_unused]] const std::string &arg_value, Fn &&fn)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    double cpu;
+    {
+        SIERRA_TRACE_SPAN(span, "stage", span_name,
+                          util::trace::arg(arg_key, arg_value));
+        cpu = fn();
+    }
+    return std::max(secondsSince(t0), cpu);
+}
+
+/**
+ * The app-level prelude: the class hierarchy and, with the dataflow
+ * stage on, the field-effect summaries, which every harness task
+ * shares. Both are pure functions of the module and immutable after
+ * construction, so building them once per analyze() instead of once
+ * per harness removes the dominant redundant work from the plan
+ * fan-out (tasks only read them concurrently). Points `options` at
+ * them, charges the dataflow stage to `times` and returns the
+ * summaries, which must outlive every task.
+ */
+std::unique_ptr<analysis::FieldEffects>
+buildSharedFacts(framework::App &app, SierraOptions &options,
+                 StageTimes &times)
+{
+    options.pta.sharedCha =
+        std::make_shared<analysis::ClassHierarchy>(app.module());
+    std::unique_ptr<analysis::FieldEffects> effects;
+    const Stage &dataflow = stageOf(StageId::Dataflow);
+    if (stageOn(dataflow, options) && !options.racy.effects) {
+        double seconds = timeStage(
+            std::string("stage.") + dataflow.name, "app", app.name(),
+            [&] {
+                effects = std::make_unique<analysis::FieldEffects>(
+                    app.module(), *options.pta.sharedCha);
+                return 0.0;
+            });
+        options.racy.effects = effects.get();
+        times[dataflow.id] += seconds;
+        times.totalCpu += seconds;
+    }
+    return effects;
+}
+
+/** What one harness's stage steps share while they run. */
+struct HarnessContext {
+    framework::App &app;
+    const SierraOptions &options;
+    const harness::HarnessPlan &plan;
+    HarnessAnalysis &ha;
+    //! options.racy plus this harness's stats and escape keep mask
+    race::RacyOptions racy;
+    std::vector<char> live; //!< escape's per-access keep mask
+    //! lock sets, shared by the lockset and deadlock stages
+    std::unique_ptr<analysis::LockSetAnalysis> locks;
+
+    std::function<bool(int, int)>
+    reaches() const
+    {
+        return [shbg = ha.shbg.get()](int a, int b) {
+            return shbg->reaches(a, b);
+        };
+    }
+};
+
+/**
+ * One run step of a per-harness stage, timed into its stage's slot
+ * and spanned as `stage.<name><part>`. `run` returns worker CPU
+ * seconds the task thread's clock does not see, or 0 (see timeStage).
+ */
+struct StageStep {
+    StageId stage;
+    const char *part; //!< span-name suffix ("" for single-step stages)
+    double (*run)(HarnessContext &);
+};
+
+/** The per-harness steps in run order (dataflow is app-level). */
+const StageStep kHarnessSteps[] = {
+    {StageId::CgPa, "",
+     [](HarnessContext &c) {
+         analysis::PointsToAnalysis pta(c.app, c.plan, c.options.pta);
+         c.ha.pta = pta.run();
+         return 0.0;
+     }},
+    {StageId::Hbg, "",
+     [](HarnessContext &c) {
+         hb::HbBuilder builder(*c.ha.pta, c.plan, c.app, c.options.hb);
+         c.ha.shbg = builder.build();
+         return 0.0;
+     }},
+    // Racy-pair detection takes two steps, around escape.
+    {StageId::Racy, ".extract",
+     [](HarnessContext &c) {
+         c.ha.accesses = race::extractAccesses(*c.ha.pta);
+         c.ha.accessesTotal = static_cast<int>(c.ha.accesses.size());
+         return 0.0;
+     }},
+    // Drop accesses whose every base object is thread-local before the
+    // quadratic pair loop (report-preserving, see analysis/escape.hh).
+    {StageId::Escape, "",
+     [](HarnessContext &c) {
+         analysis::EscapeAnalysis esc(*c.ha.pta);
+         c.live = race::escapeLiveMask(esc, c.ha.accesses);
+         c.racy.liveAccess = &c.live;
+         c.ha.accessesDropped = static_cast<int>(
+             std::count(c.live.begin(), c.live.end(), 0));
+         return 0.0;
+     }},
+    {StageId::Racy, ".pairs",
+     [](HarnessContext &c) {
+         c.ha.pairs = race::findRacyPairs(*c.ha.pta, *c.ha.shbg,
+                                          c.ha.accesses, c.racy);
+         return 0.0;
+     }},
+    // Refute pairs protected by a common must-held monitor on every
+    // (background-involving) action pair, so they never reach the
+    // expensive symbolic refuter.
+    {StageId::Lockset, "",
+     [](HarnessContext &c) {
+         c.locks = std::make_unique<analysis::LockSetAnalysis>(*c.ha.pta);
+         c.ha.locksetRefuted = race::refuteWithLockSets(
+             *c.ha.pta, *c.locks, c.ha.accesses, c.ha.pairs);
+         return 0.0;
+     }},
+    // Cyclic lock acquisitions over the same lock-set substrate. Purely
+    // additive: it refutes no pairs, it only produces the `deadlocks:`
+    // findings.
+    {StageId::Deadlock, "",
+     [](HarnessContext &c) {
+         if (!c.locks) {
+             c.locks =
+                 std::make_unique<analysis::LockSetAnalysis>(*c.ha.pta);
+         }
+         c.ha.deadlocks = analysis::findDeadlocks(
+             *c.ha.pta, *c.locks, c.reaches(), &c.ha.deadlockStats);
+         c.locks.reset();
+         return 0.0;
+     }},
+    // Registration typestate composed with SHBG reachability: refute
+    // pairs whose callback is must-disabled at every point the other
+    // action can run. Demand-driven: the scan and typestate solves only
+    // happen when pairs survived lockset.
+    {StageId::Enablement, "",
+     [](HarnessContext &c) {
+         if (c.ha.survivingRaceCount() > 0) {
+             const framework::KnownApis apis(c.app.module());
+             analysis::EnablementAnalysis en(*c.ha.pta, apis);
+             c.ha.enablementRefuted =
+                 race::refuteWithEnablement(en, c.reaches(), c.ha.pairs);
+             c.ha.enablementStats = en.stats();
+         }
+         return 0.0;
+     }},
+    // Interprocedural constant summaries for the symbolic refuter
+    // (setter parameters, callee returns, must-write-constant call
+    // effects) plus the use-after-destroy typestate client.
+    {StageId::Ifds, "",
+     [](HarnessContext &c) {
+         c.ha.inter = std::make_unique<analysis::InterConstants>(*c.ha.pta);
+         c.ha.useAfterDestroy = analysis::findUseAfterDestroy(
+             *c.ha.pta, *c.ha.inter, c.reaches());
+         return 0.0;
+     }},
+    // The refuter may shard across worker threads; their summed
+    // thread-CPU is charged whenever it exceeds the task thread's wall
+    // clock, so worker CPU is never lost.
+    {StageId::Refutation, "",
+     [](HarnessContext &c) {
+         symbolic::RefuterOptions refuter_options = c.options.refuter;
+         refuter_options.exec.inter = c.ha.inter.get();
+         c.ha.refutation = symbolic::refuteRaces(
+             *c.ha.pta, c.ha.accesses, c.ha.pairs, refuter_options);
+         return c.ha.refutation.cpuSeconds;
+     }},
+    // Classify surviving pairs by whether losing the race dereferences
+    // null (analysis/nullflow.hh). Demand-driven like enablement.
+    {StageId::Nullflow, "",
+     [](HarnessContext &c) {
+         if (c.ha.survivingRaceCount() > 0) {
+             const framework::KnownApis apis(c.app.module());
+             analysis::NullFlowAnalysis nf(*c.ha.pta, c.ha.inter.get(),
+                                           apis, c.reaches());
+             c.ha.nullflowClassified = race::classifyWithNullFlow(
+                 nf, c.ha.accesses, c.ha.pairs);
+             c.ha.nullflowStats = nf.stats();
+         }
+         return 0.0;
+     }},
+};
 
 /**
  * Fold one harness task's counters and stage times into the metrics
@@ -124,18 +331,12 @@ fillMetrics(util::metrics::Registry &m, const HarnessAnalysis &ha,
     m.add("refuted_by.enablement", by_enablement);
     m.add("refuted_by.symbolic", by_symbolic);
 
-    // Per-harness stage durations as histograms (seconds).
-    m.observe("stage.cg_pa.seconds", t.cgPa);
-    m.observe("stage.hbg.seconds", t.hbg);
-    m.observe("stage.dataflow.seconds", t.dataflow);
-    m.observe("stage.escape.seconds", t.escape);
-    m.observe("stage.racy.seconds", t.racy);
-    m.observe("stage.lockset.seconds", t.lockset);
-    m.observe("stage.deadlock.seconds", t.deadlock);
-    m.observe("stage.enablement.seconds", t.enablement);
-    m.observe("stage.ifds.seconds", t.ifds);
-    m.observe("stage.refutation.seconds", t.refutation);
-    m.observe("stage.nullflow.seconds", t.nullflow);
+    // Per-harness stage durations as histograms (seconds); app-level
+    // stages are observed once per analyze() instead (see analyze()).
+    for (const Stage &stage : kStages) {
+        if (!stage.appLevel)
+            m.observe(histogramName(stage), t[stage.id]);
+    }
     m.observe("harness.cpu.seconds", t.totalCpu);
 }
 
@@ -144,12 +345,9 @@ fillMetrics(util::metrics::Registry &m, const HarnessAnalysis &ha,
 int
 HarnessAnalysis::survivingRaceCount() const
 {
-    int n = 0;
-    for (const auto &p : pairs) {
-        if (!p.refuted)
-            ++n;
-    }
-    return n;
+    return static_cast<int>(
+        std::count_if(pairs.begin(), pairs.end(),
+                      [](const race::RacyPair &p) { return !p.refuted; }));
 }
 
 SierraDetector::SierraDetector(framework::App &app)
@@ -180,248 +378,27 @@ SierraDetector::planFor(const std::string &activity)
 HarnessAnalysis
 SierraDetector::runHarness(const harness::HarnessPlan &plan,
                            const SierraOptions &options,
-                           StageTimes *times)
+                           StageTimes &times)
 {
     HarnessAnalysis ha;
     ha.activity = plan.activityClass;
     SIERRA_TRACE_SPAN(task_span, "task", "harness",
                       util::trace::arg("activity", plan.activityClass));
 
-    auto t0 = std::chrono::steady_clock::now();
-    double cg_pa;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.cg_pa",
-                          util::trace::arg("activity", ha.activity));
-        analysis::PointsToAnalysis pta(_app, plan, options.pta);
-        ha.pta = pta.run();
-        cg_pa = secondsSince(t0);
-    }
-
-    auto t1 = std::chrono::steady_clock::now();
-    double hbg;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.hbg",
-                          util::trace::arg("activity", ha.activity));
-        hb::HbBuilder hb_builder(*ha.pta, plan, _app, options.hb);
-        ha.shbg = hb_builder.build();
-        hbg = secondsSince(t1);
-    }
-
-    // Dataflow stage: field-effect summaries feeding the racy-pair
-    // prefilter. Per-task (each task owns its result), so the stage
-    // parallelizes with the rest of the harness work.
-    auto t_df = std::chrono::steady_clock::now();
-    std::unique_ptr<analysis::FieldEffects> effects;
-    race::RacyOptions racy_options = options.racy;
-    racy_options.stats = &ha.racyStats;
-    if (options.effectPrefilter && !racy_options.effects) {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.dataflow",
-                          util::trace::arg("activity", ha.activity));
-        effects = std::make_unique<analysis::FieldEffects>(
-            _app.module(), ha.pta->cha);
-        racy_options.effects = effects.get();
-    }
-    double dataflow = secondsSince(t_df);
-
-    auto t2 = std::chrono::steady_clock::now();
-    double racy;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.racy.extract",
-                          util::trace::arg("activity", ha.activity));
-        ha.accesses = race::extractAccesses(*ha.pta);
-        ha.accessesTotal = static_cast<int>(ha.accesses.size());
-        racy = secondsSince(t2);
-    }
-
-    // Escape stage: drop accesses whose every base object is
-    // thread-local before the quadratic pair loop (report-preserving,
-    // see analysis/escape.hh).
-    auto t_esc = std::chrono::steady_clock::now();
-    double escape;
-    std::vector<char> live;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.escape",
-                          util::trace::arg("activity", ha.activity));
-        if (options.escapeFilter) {
-            analysis::EscapeAnalysis esc(*ha.pta);
-            live = race::escapeLiveMask(esc, ha.accesses);
-            racy_options.liveAccess = &live;
-            for (char kept : live) {
-                if (!kept)
-                    ++ha.accessesDropped;
-            }
-        }
-        escape = secondsSince(t_esc);
-    }
-
-    auto t2b = std::chrono::steady_clock::now();
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.racy.pairs",
-                          util::trace::arg("activity", ha.activity));
-        ha.pairs = race::findRacyPairs(*ha.pta, *ha.shbg, ha.accesses,
-                                       racy_options);
-        racy += secondsSince(t2b);
-    }
-
-    // Lock-set stage: refute pairs protected by a common must-held
-    // monitor on every (background-involving) action pair, so they
-    // never reach the expensive symbolic refuter.
-    auto t_ls = std::chrono::steady_clock::now();
-    double lockset;
-    std::unique_ptr<analysis::LockSetAnalysis> locks;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.lockset",
-                          util::trace::arg("activity", ha.activity));
-        if (options.locksetRefutation) {
-            locks = std::make_unique<analysis::LockSetAnalysis>(
-                *ha.pta);
-            ha.locksetRefuted = race::refuteWithLockSets(
-                *ha.pta, *locks, ha.accesses, ha.pairs);
-        }
-        lockset = secondsSince(t_ls);
-    }
-
-    // Deadlock stage: cyclic lock acquisitions over the same lock-set
-    // substrate (shared with the refuter above when both are on).
-    // Purely additive — it refutes no pairs, it only produces the
-    // `deadlocks:` findings.
-    auto t_dl = std::chrono::steady_clock::now();
-    double deadlock;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.deadlock",
-                          util::trace::arg("activity", ha.activity));
-        if (options.deadlock) {
-            if (!locks) {
-                locks = std::make_unique<analysis::LockSetAnalysis>(
-                    *ha.pta);
-            }
-            ha.deadlocks = analysis::findDeadlocks(
-                *ha.pta, *locks,
-                [&](int a, int b) { return ha.shbg->reaches(a, b); },
-                &ha.deadlockStats);
-        }
-        deadlock = secondsSince(t_dl);
-    }
-    locks.reset();
-
-    // Enablement stage: registration typestate composed with SHBG
-    // reachability — refute pairs whose callback is must-disabled at
-    // every point the other action can run. Demand-driven: the scan
-    // and typestate solves only happen when pairs survived lockset.
-    auto t_en = std::chrono::steady_clock::now();
-    double enablement;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.enablement",
-                          util::trace::arg("activity", ha.activity));
-        if (options.enablement) {
-            bool any_surviving = false;
-            for (const race::RacyPair &p : ha.pairs) {
-                if (!p.refuted) {
-                    any_surviving = true;
-                    break;
-                }
-            }
-            if (any_surviving) {
-                const framework::KnownApis apis(_app.module());
-                analysis::EnablementAnalysis en(*ha.pta, apis);
-                ha.enablementRefuted = race::refuteWithEnablement(
-                    en,
-                    [&](int a, int b) { return ha.shbg->reaches(a, b); },
-                    ha.pairs);
-                ha.enablementStats = en.stats();
-            }
-        }
-        enablement = secondsSince(t_en);
-    }
-
-    // IFDS stage: interprocedural constant summaries for the symbolic
-    // refuter (setter parameters, callee returns, must-write-constant
-    // call effects) plus the use-after-destroy typestate client.
-    auto t_ifds = std::chrono::steady_clock::now();
-    double ifds;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.ifds",
-                          util::trace::arg("activity", ha.activity));
-        if (options.ifds) {
-            ha.inter =
-                std::make_unique<analysis::InterConstants>(*ha.pta);
-            ha.useAfterDestroy = analysis::findUseAfterDestroy(
-                *ha.pta, *ha.inter, [&](int a, int b) {
-                    return ha.shbg->reaches(a, b);
-                });
-        }
-        ifds = secondsSince(t_ifds);
-    }
-
-    auto t3 = std::chrono::steady_clock::now();
-    double refutation;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.refutation",
-                          util::trace::arg("activity", ha.activity));
-        if (options.runRefutation) {
-            symbolic::RefuterOptions refuter_options = options.refuter;
-            refuter_options.exec.inter = ha.inter.get();
-            ha.refutation = symbolic::refuteRaces(
-                *ha.pta, ha.accesses, ha.pairs, refuter_options);
-        }
-        // The refuter may shard across worker threads; its summed
-        // per-worker thread-CPU is the stage's cpu cost. The task
-        // thread's own wall clock is the floor (it covers the
-        // single-threaded path and the fan-out overhead), so worker
-        // CPU is added on top of it, never lost.
-        double wall = secondsSince(t3);
-        refutation =
-            std::max(wall, ha.refutation.cpuSeconds);
-    }
-
-    // Null-value-flow stage: classify surviving pairs by whether
-    // losing the race dereferences null (analysis/nullflow.hh).
-    // Demand-driven like enablement: the store index and dominator
-    // trees are only built when pairs survived every refuter.
-    auto t_nf = std::chrono::steady_clock::now();
-    double nullflow;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.nullflow",
-                          util::trace::arg("activity", ha.activity));
-        if (options.nullflow) {
-            bool any_surviving = false;
-            for (const race::RacyPair &p : ha.pairs) {
-                if (!p.refuted) {
-                    any_surviving = true;
-                    break;
-                }
-            }
-            if (any_surviving) {
-                const framework::KnownApis apis(_app.module());
-                analysis::NullFlowAnalysis nf(
-                    *ha.pta, ha.inter.get(), apis, [&](int a, int b) {
-                        return ha.shbg->reaches(a, b);
-                    });
-                ha.nullflowClassified = race::classifyWithNullFlow(
-                    nf, ha.accesses, ha.pairs);
-                ha.nullflowStats = nf.stats();
-            }
-        }
-        nullflow = secondsSince(t_nf);
+    HarnessContext ctx{_app, options, plan, ha, options.racy, {}, {}};
+    ctx.racy.stats = &ha.racyStats;
+    for (const StageStep &step : kHarnessSteps) {
+        const Stage &stage = stageOf(step.stage);
+        if (!stageOn(stage, options))
+            continue;
+        double seconds =
+            timeStage(std::string("stage.") + stage.name + step.part,
+                      "activity", ha.activity,
+                      [&] { return step.run(ctx); });
+        times[step.stage] += seconds;
+        times.totalCpu += seconds;
     }
     race::prioritize(*ha.pta, ha.accesses, ha.pairs);
-
-    if (times) {
-        times->cgPa += cg_pa;
-        times->hbg += hbg;
-        times->dataflow += dataflow;
-        times->escape += escape;
-        times->racy += racy;
-        times->lockset += lockset;
-        times->deadlock += deadlock;
-        times->enablement += enablement;
-        times->ifds += ifds;
-        times->refutation += refutation;
-        times->nullflow += nullflow;
-        times->totalCpu += cg_pa + hbg + dataflow + escape + racy +
-                           lockset + deadlock + enablement + ifds +
-                           refutation + nullflow;
-    }
     return ha;
 }
 
@@ -429,7 +406,10 @@ HarnessAnalysis
 SierraDetector::analyzeActivity(const std::string &activity,
                                 const SierraOptions &options)
 {
-    return runHarness(planFor(activity), options, nullptr);
+    SierraOptions task_options = options;
+    StageTimes times;
+    auto effects = buildSharedFacts(_app, task_options, times);
+    return runHarness(planFor(activity), task_options, times);
 }
 
 AppReport
@@ -445,8 +425,8 @@ SierraDetector::analyze(const SierraOptions &options,
     AppReport report;
     report.app = _app.name();
     report.harnesses = static_cast<int>(_plans.size());
-    report.enablementEnabled = options.enablement;
-    report.nullflowEnabled = options.nullflow;
+    for (const Stage &stage : kStages)
+        report.stagesOn[stageIndex(stage.id)] = stageOn(stage, options);
 
     const int num_plans = static_cast<int>(_plans.size());
     const int jobs = util::resolveJobs(options.jobs);
@@ -478,35 +458,14 @@ SierraDetector::analyze(const SierraOptions &options,
                 reused[i] = 1;
         }
     }
-    int cold_plans = 0;
-    for (int i = 0; i < num_plans; ++i)
-        cold_plans += reused[i] ? 0 : 1;
+    const int cold_plans = static_cast<int>(
+        std::count(reused.begin(), reused.begin() + num_plans, 0));
 
-    // App-level facts shared by every harness task. Both are pure
-    // functions of the module and immutable after construction, so
-    // building them once here instead of once per harness removes the
-    // dominant redundant work from the plan fan-out (tasks only read
-    // them concurrently). A fully warm submission runs no task and
-    // needs neither.
+    // A fully warm submission runs no task and needs no shared facts.
     StageTimes app_times;
-    std::shared_ptr<analysis::ClassHierarchy> app_cha;
-    std::unique_ptr<analysis::FieldEffects> app_effects;
-    if (cold_plans > 0) {
-        app_cha =
-            std::make_shared<analysis::ClassHierarchy>(_app.module());
-        task_options.pta.sharedCha = app_cha;
-        if (task_options.effectPrefilter &&
-            !task_options.racy.effects) {
-            auto t_df = std::chrono::steady_clock::now();
-            SIERRA_TRACE_SPAN(span, "stage", "stage.dataflow",
-                              util::trace::arg("app", _app.name()));
-            app_effects = std::make_unique<analysis::FieldEffects>(
-                _app.module(), *app_cha);
-            task_options.racy.effects = app_effects.get();
-            app_times.dataflow = secondsSince(t_df);
-            app_times.totalCpu = app_times.dataflow;
-        }
-    }
+    std::unique_ptr<analysis::FieldEffects> effects;
+    if (cold_plans > 0)
+        effects = buildSharedFacts(_app, task_options, app_times);
 
     // One task per harness plan. Each task reads only shared-immutable
     // state and owns everything it produces, so tasks are independent;
@@ -522,8 +481,7 @@ SierraDetector::analyze(const SierraOptions &options,
             std::min(plan_jobs, cold_plans), num_plans, [&](int i) {
                 if (reused[i])
                     return HarnessAnalysis{};
-                return runHarness(_plans[i], task_options,
-                                  &task_times[i]);
+                return runHarness(_plans[i], task_options, task_times[i]);
             });
     }
 
@@ -676,13 +634,21 @@ SierraDetector::analyze(const SierraOptions &options,
             ? 100.0 * static_cast<double>(report.hbEdges) /
                   static_cast<double>(max_pairs_total)
             : 0.0;
-    // Fold in the app-level shared-fact construction so totalCpu still
-    // equals the sum of the per-stage fields.
+    // Fold in the app-level stages so totalCpu still equals the sum of
+    // the stage slots.
     report.times.add(app_times);
     report.times.total = secondsSince(t_total);
 
     if (options.metrics) {
         util::metrics::Registry &m = *options.metrics;
+        // App-level stages: one observation per analyze() that ran
+        // any harness task.
+        if (cold_plans > 0) {
+            for (const Stage &stage : kStages) {
+                if (stage.appLevel)
+                    m.observe(histogramName(stage), app_times[stage.id]);
+            }
+        }
         // ICC scan counters: computed once at construction (harness
         // generation), flushed here so they land in the registry
         // exactly once per analyze() at every jobs count.
@@ -705,38 +671,6 @@ SierraDetector::analyze(const SierraOptions &options,
     return report;
 }
 
-// Rendering StageTimes through this list is what keeps the `time:`
-// line and the JSON `timesMs` object complete: a StageTimes field
-// added without a row here trips the static_assert below.
-std::vector<StageTimeEntry>
-stageTimeEntries(const AppReport &report)
-{
-    const StageTimes &t = report.times;
-    return {
-        {"cgPa", "cg+pa", t.cgPa, true},
-        {"hbg", "hbg", t.hbg, true},
-        {"dataflow", "dataflow", t.dataflow, true},
-        {"escape", "escape", t.escape, true},
-        {"racy", "racy", t.racy, true},
-        {"lockset", "lockset", t.lockset, true},
-        {"deadlock", "deadlock", t.deadlock, true},
-        {"enablement", "enablement", t.enablement,
-         report.enablementEnabled},
-        {"ifds", "ifds", t.ifds, true},
-        {"refutation", "refutation", t.refutation, true},
-        {"nullflow", "nullflow", t.nullflow, report.nullflowEnabled},
-        {"totalCpu", "cpu", t.totalCpu, true},
-        {"total", "total", t.total, true},
-    };
-}
-
-// 13 doubles: 11 stages + totalCpu + total. Mirrors the entry list
-// above; adding a StageTimes field updates this count and forces a
-// matching stageTimeEntries row (report_times_test checks both
-// renderings cover every entry).
-static_assert(sizeof(StageTimes) == 13 * sizeof(double),
-              "StageTimes changed: update stageTimeEntries()");
-
 std::string
 formatReport(const AppReport &report, int max_races, bool with_times)
 {
@@ -750,11 +684,11 @@ formatReport(const AppReport &report, int max_races, bool with_times)
        << "  lockset-refuted: " << report.locksetRefuted;
     // Emitted only when the stage ran, so --no-enablement output is
     // byte-identical to the stage-less report.
-    if (report.enablementEnabled)
+    if (report.showsStage(StageId::Enablement))
         os << "  enablement-refuted: " << report.enablementRefuted;
     os << "  after refutation: " << report.afterRefutation;
     // Same gating for the nullflow severity tallies (--no-nullflow).
-    if (report.nullflowEnabled) {
+    if (report.showsStage(StageId::Nullflow)) {
         os << "  harmful: " << report.harmfulRaces
            << "  guarded: " << report.guardedRaces;
     }
@@ -762,18 +696,13 @@ formatReport(const AppReport &report, int max_races, bool with_times)
        << report.accessesDropped << ")\n";
     if (with_times) {
         os << "time: ";
-        for (const StageTimeEntry &e : stageTimeEntries(report)) {
-            if (!e.inText)
-                continue;
-            if (std::string_view(e.jsonName) == "totalCpu")
-                continue; // rendered inside total's parens below
-            if (std::string_view(e.jsonName) == "total") {
-                os << "total " << e.seconds << "s (cpu "
-                   << report.times.totalCpu << "s)\n";
-            } else {
-                os << e.textName << " " << e.seconds << "s, ";
-            }
+        for (const Stage &stage : kStages) {
+            if (report.showsStage(stage.id))
+                os << stage.textKey << " " << report.times[stage.id]
+                   << "s, ";
         }
+        os << "total " << report.times.total << "s (cpu "
+           << report.times.totalCpu << "s)\n";
     }
     int shown = 0;
     for (const auto &race : report.races) {
@@ -788,7 +717,7 @@ formatReport(const AppReport &report, int max_races, bool with_times)
            << "\n";
         // One severity tag per surviving pair, gated like the header
         // tallies so --no-nullflow output has no nullflow tokens.
-        if (report.nullflowEnabled) {
+        if (report.showsStage(StageId::Nullflow)) {
             os << "      severity: "
                << analysis::nullVerdictName(race.severity);
             if (!race.severityChain.empty())

@@ -31,6 +31,7 @@
 #include "harness/harness.hh"
 #include "hb/rules.hh"
 #include "race/racy.hh"
+#include "stage.hh"
 #include "symbolic/refuter.hh"
 #include "util/metrics.hh"
 
@@ -42,66 +43,33 @@ struct SierraOptions {
     hb::HbOptions hb;
     race::RacyOptions racy;
     symbolic::RefuterOptions refuter;
-    bool runRefutation{true};
-    /**
-     * The dataflow stage: compute method field-effect summaries
-     * (analysis::FieldEffects) per harness and hand them to racy-pair
-     * detection as a report-preserving conflict prefilter. Constant
-     * facts inside the refuter are controlled separately by
-     * `refuter.exec.useConstFacts`. Both default on; the ablation bench
-     * measures their effect.
+    /*
+     * Stage toggles, all on by default. Each is the `toggle` of a row
+     * of the stage table (sierra/stage.hh), which also names its
+     * `--no-X` flag; docs/INTERNALS.md describes the stages. Dataflow
+     * and escape only save time (the report is unchanged); lockset,
+     * enablement and ifds refute more false positives, never a true
+     * race; deadlock and nullflow are purely additive (with nullflow
+     * off every verdict is Unknown and the report is byte-identical to
+     * the stage-less text).
      */
+    bool runRefutation{true}; //!< symbolic refutation
+    //! dataflow: field-effect summaries (analysis::FieldEffects), built
+    //! once per analyze(), as the racy-pair conflict prefilter; the
+    //! refuter's constant facts are `refuter.exec.useConstFacts`
     bool effectPrefilter{true};
-    /**
-     * The escape stage: classify abstract objects as thread-shared
-     * (analysis::EscapeAnalysis) and drop accesses whose every base is
-     * thread-local before the quadratic racy-pair loop. Time-only and
-     * report-preserving (`--no-escape` ablates it).
-     */
+    //! escape: drop accesses whose every base is thread-local
     bool escapeFilter{true};
-    /**
-     * The lock-set stage: compute must-held lock sets
-     * (analysis::LockSetAnalysis) and refute pairs whose every action
-     * pair involves a background thread and shares a common must-alias
-     * lock, before symbolic refutation (`--no-lockset` ablates it).
-     */
+    //! lockset: refute pairs guarded by a common must-held monitor
     bool locksetRefutation{true};
-    /**
-     * The enablement stage: registration typestate
-     * (analysis::EnablementAnalysis) composed with SHBG reachability
-     * to refute pairs whose callback is must-disabled at every point
-     * the other action can run. Demand-driven: runs only over pairs
-     * surviving lockset, between deadlock and IFDS (`--no-enablement`
-     * ablates it; measured by bench_ablation_enablement).
-     */
+    //! enablement: refute pairs whose callback is must-disabled
     bool enablement{true};
-    /**
-     * The IFDS stage: summary-based interprocedural constant facts
-     * (analysis::InterConstants) handed to the symbolic refuter via
-     * ExecutorOptions::inter, plus the use-after-destroy typestate
-     * client. Report-preserving for true races — the facts are sound,
-     * so they only refute more false positives (`--no-ifds` ablates
-     * it; measured by bench_ablation_ifds).
-     */
+    //! ifds: interprocedural constants for the refuter, plus the
+    //! use-after-destroy client
     bool ifds{true};
-    /**
-     * The deadlock stage: build the lock-dependency graph over the
-     * lock-set results and report cyclic acquisitions reachable from
-     * concurrently-runnable contexts (analysis::findDeadlocks). Purely
-     * additive — it refutes nothing, it only fills the `deadlocks:`
-     * report section (`--no-deadlock` ablates it).
-     */
+    //! deadlock: cyclic lock acquisitions (`deadlocks:` section)
     bool deadlock{true};
-    /**
-     * The null-value-flow stage (analysis/nullflow): classify each
-     * *surviving* pair as HARMFUL (the read can observe null/absent
-     * state whose only non-null source is the racing write), GUARDED
-     * (a dominating null check protects the sink) or UNKNOWN, and
-     * severity-sort the report. Purely additive — it refutes nothing;
-     * with the stage off every verdict is Unknown and the report is
-     * byte-identical to today's (`--no-nullflow` ablates it; measured
-     * by bench_ablation_nullflow).
-     */
+    //! nullflow: HARMFUL / GUARDED / UNKNOWN severity of survivors
     bool nullflow{true};
     /**
      * ICC modeling (framework::IccModel): resolve explicit Intent
@@ -130,62 +98,6 @@ struct SierraOptions {
      * are identical at every jobs count.
      */
     util::metrics::Registry *metrics{nullptr};
-};
-
-/**
- * Per-stage timers (paper Table 4 columns), split into cpu-seconds and
- * wall-seconds so the numbers stay meaningful under parallelism: the
- * per-stage fields sum each task's own stage time, so they approximate
- * the serial (single-job) cost and are comparable across jobs counts;
- * `total` is the real elapsed wall time of the run, which is what
- * shrinks as jobs grow.
- */
-struct StageTimes {
-    double cgPa{0};       //!< call graph + pointer analysis (cpu-s)
-    double hbg{0};        //!< SHBG construction (cpu-s)
-    double dataflow{0};   //!< field-effect summaries (cpu-s)
-    double escape{0};     //!< escape analysis + access filter (cpu-s)
-    double racy{0};       //!< access extraction + racy pairs (cpu-s)
-    double lockset{0};    //!< lock-set analysis + refutation (cpu-s)
-    double deadlock{0};   //!< lock-dependency cycles (cpu-s)
-    double enablement{0}; //!< registration typestate + refutation (cpu-s)
-    double ifds{0};       //!< interprocedural summaries + UAD (cpu-s)
-    /**
-     * Symbolic refutation. Unlike the single-threaded stages above
-     * (whose own wall time is their cpu time), refutation may fan out
-     * across refuter workers inside one task; this field is the sum of
-     * the workers' thread-CPU clocks (RefutationStats::cpuSeconds), so
-     * worker CPU is accounted instead of being hidden behind the task
-     * thread's elapsed time.
-     */
-    double refutation{0};
-    //! null-value-flow severity classification (cpu-s)
-    double nullflow{0};
-    //! sum of all per-task stage times; equals the sum of the eleven
-    //! stage fields (up to fp rounding) by construction, regardless of
-    //! task completion order — the merge runs serially in plan order
-    double totalCpu{0};
-    double total{0}; //!< elapsed wall-clock of the whole run
-
-    /** Fold another task's stage times in (associative, commutative
-     *  component-wise sums; `total` is deliberately excluded — wall
-     *  time is a property of the whole run, not of one task). */
-    void
-    add(const StageTimes &o)
-    {
-        cgPa += o.cgPa;
-        hbg += o.hbg;
-        dataflow += o.dataflow;
-        escape += o.escape;
-        racy += o.racy;
-        lockset += o.lockset;
-        deadlock += o.deadlock;
-        enablement += o.enablement;
-        ifds += o.ifds;
-        refutation += o.refutation;
-        nullflow += o.nullflow;
-        totalCpu += o.totalCpu;
-    }
 };
 
 /** The analysis artifacts of one harness (one activity). */
@@ -248,14 +160,10 @@ struct AppReport {
     int accessesDropped{0}; //!< summed thread-local accesses removed
     int locksetRefuted{0};  //!< summed pairs refuted by lock sets
     int enablementRefuted{0}; //!< summed pairs refuted by enablement
-    //! whether the enablement stage ran (gates its report tokens, so
-    //! --no-enablement output is byte-identical to the stage-less text)
-    bool enablementEnabled{false};
     int harmfulRaces{0}; //!< surviving races classified HARMFUL
     int guardedRaces{0}; //!< surviving races classified GUARDED
-    //! whether the nullflow stage ran (gates its report tokens, so
-    //! --no-nullflow output is byte-identical to the stage-less text)
-    bool nullflowEnabled{false};
+    //! which stages were on for this run, by StageId
+    std::array<bool, kNumStages> stagesOn{};
     StageTimes times;
     std::vector<AppRace> races; //!< deduplicated, priority-ranked
     //! use-after-destroy findings, deduplicated across harnesses
@@ -263,6 +171,15 @@ struct AppReport {
     //! deadlock findings, deduplicated across harnesses
     std::vector<analysis::DeadlockFinding> deadlocks;
     std::vector<HarnessAnalysis> perHarness;
+
+    /** Whether the text report carries the stage's tokens: always,
+     *  unless the stage gates its text (Stage::gatesText) and was off,
+     *  so --no-X output is byte-identical to the stage-less text. */
+    bool
+    showsStage(StageId id) const
+    {
+        return !stageOf(id).gatesText || stagesOn[stageIndex(id)];
+    }
 };
 
 /**
@@ -326,40 +243,21 @@ class SierraDetector
     const harness::HarnessPlan &planFor(const std::string &activity);
 
     /**
-     * The pipeline stages for one harness plan — the single body
-     * both analyzeActivity and (possibly many threads of) analyze run.
-     * Reads only shared-immutable state (_app, the plan); everything
-     * it produces is owned by the returned HarnessAnalysis. Stage
-     * times accumulate into *times when non-null.
+     * The per-harness stages for one plan — the single body both
+     * analyzeActivity and (possibly many threads of) analyze run,
+     * after the app-level prelude has filled the shared facts into
+     * `options`. Reads only shared-immutable state (_app, the plan,
+     * the shared facts); everything it produces is owned by the
+     * returned HarnessAnalysis. Stage times accumulate into `times`.
      */
     HarnessAnalysis runHarness(const harness::HarnessPlan &plan,
                                const SierraOptions &options,
-                               StageTimes *times);
+                               StageTimes &times);
 
     framework::App &_app;
     std::vector<harness::HarnessPlan> _plans;
     framework::IccStats _iccStats;
 };
-
-/**
- * One row of the stage-time rendering. The text `time:` line and the
- * JSON `timesMs` object are both generated from stageTimeEntries(), so
- * a stage added to StageTimes cannot silently miss either output — a
- * static_assert in detector.cc ties the entry count to
- * sizeof(StageTimes), and report_times_test checks both renderings
- * cover every entry.
- */
-struct StageTimeEntry {
-    const char *jsonName; //!< key in the JSON `timesMs` object
-    const char *textName; //!< token on the text `time:` line
-    double seconds;       //!< the StageTimes field value
-    //! rendered on the text line (gated stages drop out when off, so
-    //! ablated output stays byte-identical; JSON always has all keys)
-    bool inText;
-};
-
-/** Every StageTimes field exactly once, in render order. */
-std::vector<StageTimeEntry> stageTimeEntries(const AppReport &report);
 
 /**
  * Render an app report as human-readable text (ranked race list).

@@ -8,6 +8,8 @@
 #include <sys/resource.h>
 #endif
 
+#include "json_escape.hh"
+
 namespace sierra::util::metrics {
 
 double
@@ -116,7 +118,7 @@ Registry::toJson() const
         if (!first)
             os << ", ";
         first = false;
-        os << "\"" << name << "\": " << value;
+        os << "\"" << jsonEscape(name) << "\": " << value;
     }
     os << "}, \"histograms\": {";
     first = true;
@@ -129,7 +131,7 @@ Registry::toJson() const
         if (!first)
             os << ", ";
         first = false;
-        os << "\"" << name << "\": {\"count\": " << h.count
+        os << "\"" << jsonEscape(name) << "\": {\"count\": " << h.count
            << ", \"sum\": " << num(h.sum) << ", \"min\": " << num(h.min)
            << ", \"max\": " << num(h.max)
            << ", \"mean\": " << num(h.mean()) << "}";

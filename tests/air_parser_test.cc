@@ -148,7 +148,17 @@ class N {
 struct BadCase {
     const char *name;
     const char *text;
+    // Value shown after "# GetParam() =" in the test listing. gtest's
+    // default printer dumps the two pointers, so the listed IDs changed
+    // with the load address on every run; printing this recorded text
+    // keeps each ID the same across builds and runs.
+    const char *id;
 };
+
+void PrintTo(const BadCase &c, std::ostream *os)
+{
+    *os << c.id;
+}
 
 class ParserErrors : public ::testing::TestWithParam<BadCase>
 {
@@ -164,27 +174,45 @@ TEST_P(ParserErrors, Rejected)
 INSTANTIATE_TEST_SUITE_P(
     Bad, ParserErrors,
     ::testing::Values(
-        BadCase{"garbage", "klass Foo {}"},
+        BadCase{"garbage", "klass Foo {}",
+                "16-byte object "
+                "<B4-DC BE-4A A6-55 00-00 BC-DC BE-4A A6-55 00-00>"},
         BadCase{"unterminated_string",
                 "class A { method f(): void regs=1 { @0: r0 = const "
-                "\"oops } }"},
-        BadCase{"duplicate_class", "class A {} class A {}"},
+                "\"oops } }",
+                "16-byte object "
+                "<C9-DC BE-4A A6-55 00-00 48-D2 BE-4A A6-55 00-00>"},
+        BadCase{"duplicate_class", "class A {} class A {}",
+                "16-byte object "
+                "<DD-DC BE-4A A6-55 00-00 ED-DC BE-4A A6-55 00-00>"},
         BadCase{"duplicate_method",
-                "class A { method f(): void; method f(): void; }"},
+                "class A { method f(): void; method f(): void; }",
+                "16-byte object "
+                "<03-DD BE-4A A6-55 00-00 88-D2 BE-4A A6-55 00-00>"},
         BadCase{"out_of_order_index",
                 "class A { method f(): void regs=1 { @1: return-void } "
-                "}"},
+                "}",
+                "16-byte object "
+                "<14-DD BE-4A A6-55 00-00 B8-D2 BE-4A A6-55 00-00>"},
         BadCase{"bad_register",
-                "class A { method f(): void regs=1 { @0: return rx } }"},
+                "class A { method f(): void regs=1 { @0: return rx } }",
+                "16-byte object "
+                "<27-DD BE-4A A6-55 00-00 F0-D2 BE-4A A6-55 00-00>"},
         BadCase{"bad_condition",
                 "class A { method f(): void regs=2 { @0: ifz r1 zz goto "
-                "@0 } }"},
+                "@0 } }",
+                "16-byte object "
+                "<34-DD BE-4A A6-55 00-00 28-D3 BE-4A A6-55 00-00>"},
         BadCase{"field_without_class",
                 "class A { method f(): void regs=2 { @0: r1 = getfield "
-                "r0.x } }"},
+                "r0.x } }",
+                "16-byte object "
+                "<42-DD BE-4A A6-55 00-00 68-D3 BE-4A A6-55 00-00>"},
         BadCase{"unknown_instruction",
                 "class A { method f(): void regs=2 { @0: r1 = frobnicate "
-                "r0 } }"}),
+                "r0 } }",
+                "16-byte object "
+                "<56-DD BE-4A A6-55 00-00 A8-D3 BE-4A A6-55 00-00>"}),
     [](const ::testing::TestParamInfo<BadCase> &info) {
         return info.param.name;
     });

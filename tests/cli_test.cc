@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "cli.hh"
+#include "strict_json.hh"
 
 namespace sierra::cli {
 namespace {
@@ -158,6 +159,32 @@ TEST(Cli, AnalyzeJsonStringFieldsAreQuoted)
         ASSERT_EQ(r.code, 0) << r.err;
         expectValuesWellFormed(r.out);
     }
+}
+
+TEST(Cli, AnalyzeJsonEscapesControlCharacters)
+{
+    // A tab in the app name must reach the JSON as `\t`: a raw control
+    // character inside a string is invalid JSON (RFC 8259 §7).
+    TempFile file(".air");
+    ASSERT_EQ(run({"dump", "NotePad", "-o", file.path()}).code, 0);
+    std::string bundle;
+    {
+        std::ifstream in(file.path());
+        std::ostringstream text;
+        text << in.rdbuf();
+        bundle = text.str();
+    }
+    const std::string name_line = "app \"NotePad\"";
+    size_t at = bundle.find(name_line);
+    ASSERT_NE(at, std::string::npos);
+    bundle.replace(at, name_line.size(), "app \"Note\tPad\"");
+    std::ofstream(file.path()) << bundle;
+
+    CliRun r = run({"analyze", file.path(), "--json", "--metrics"});
+    ASSERT_EQ(r.code, 0) << r.err;
+    test::JsonValue root;
+    ASSERT_TRUE(test::JsonParser(r.out).parse(root)) << r.out.substr(0, 200);
+    EXPECT_EQ(root.str("app"), "Note\tPad");
 }
 
 TEST(Cli, AnalyzeJsonDeadlockSection)

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "analysis/store.hh"
@@ -249,6 +250,108 @@ TEST(Incremental, OptionsFingerprintSeparatesAblations)
     EXPECT_NE(serve::IncrementalAnalyzer::optionsFingerprint(no_ifds),
               serve::IncrementalAnalyzer::optionsFingerprint(
                   no_lockset));
+}
+
+TEST(Incremental, OptionsFingerprintCoversEveryReportOption)
+{
+    using Flip = void (*)(SierraOptions &);
+    const std::vector<std::pair<const char *, Flip>> flips = {
+        {"icc", [](SierraOptions &o) { o.icc = false; }},
+        {"pta.ctx.policy",
+         [](SierraOptions &o) {
+             o.pta.ctx.policy = analysis::ContextPolicy::Insensitive;
+         }},
+        {"pta.ctx.k", [](SierraOptions &o) { o.pta.ctx.k = 2; }},
+        {"pta.ctx.heapK", [](SierraOptions &o) { o.pta.ctx.heapK = 2; }},
+        {"pta.ctx.inflatedViewContext",
+         [](SierraOptions &o) { o.pta.ctx.inflatedViewContext = false; }},
+        {"pta.maxActions",
+         [](SierraOptions &o) { o.pta.maxActions /= 2; }},
+        {"pta.indexSensitiveArrays",
+         [](SierraOptions &o) { o.pta.indexSensitiveArrays = true; }},
+        {"hb.enableRule4",
+         [](SierraOptions &o) { o.hb.enableRule4 = false; }},
+        {"hb.enableRule5",
+         [](SierraOptions &o) { o.hb.enableRule5 = false; }},
+        {"hb.enableRule6",
+         [](SierraOptions &o) { o.hb.enableRule6 = false; }},
+        {"hb.rule5MaxStates",
+         [](SierraOptions &o) { o.hb.rule5MaxStates /= 2; }},
+        {"racy.requireSameLooper",
+         [](SierraOptions &o) { o.racy.requireSameLooper = false; }},
+        {"refuter.maxActionPairsPerRace",
+         [](SierraOptions &o) { o.refuter.maxActionPairsPerRace /= 2; }},
+        {"refuter.exec.maxPaths",
+         [](SierraOptions &o) { o.refuter.exec.maxPaths /= 2; }},
+        {"refuter.exec.maxDepth",
+         [](SierraOptions &o) { o.refuter.exec.maxDepth /= 2; }},
+        {"refuter.exec.maxSteps",
+         [](SierraOptions &o) { o.refuter.exec.maxSteps /= 2; }},
+        {"refuter.exec.maxCallDepth",
+         [](SierraOptions &o) { o.refuter.exec.maxCallDepth /= 2; }},
+        {"refuter.exec.useNodeCache",
+         [](SierraOptions &o) { o.refuter.exec.useNodeCache = true; }},
+        {"refuter.exec.useConstFacts",
+         [](SierraOptions &o) { o.refuter.exec.useConstFacts = false; }},
+    };
+    const SierraOptions base;
+    const uint64_t fp = serve::IncrementalAnalyzer::optionsFingerprint(base);
+    std::set<uint64_t> seen = {fp};
+    auto expectRekeys = [&](const std::string &what,
+                            const SierraOptions &o) {
+        uint64_t flipped = serve::IncrementalAnalyzer::optionsFingerprint(o);
+        EXPECT_NE(flipped, fp) << what << " must re-key";
+        EXPECT_TRUE(seen.insert(flipped).second)
+            << what << " collides with another flip";
+    };
+    for (const auto &[what, flip] : flips) {
+        SierraOptions o = base;
+        flip(o);
+        expectRekeys(what, o);
+    }
+    // Every stage toggle, straight from the stage table.
+    for (const Stage &stage : kStages) {
+        if (!stage.toggle)
+            continue;
+        SierraOptions o = base;
+        o.*stage.toggle = false;
+        expectRekeys(stage.name, o);
+    }
+
+    // Worker counts and the metrics registry never change reports.
+    util::metrics::Registry registry;
+    SierraOptions same = base;
+    same.jobs = 8;
+    same.refuter.jobs = 3;
+    same.metrics = &registry;
+    EXPECT_EQ(serve::IncrementalAnalyzer::optionsFingerprint(same), fp);
+}
+
+TEST(Incremental, PolicyChangeNeverServesStaleArtifacts)
+{
+    // One analyzer sees the same app under the default policy, then
+    // under Insensitive: the second report must be the cold
+    // Insensitive report, not artifacts keyed for the first policy.
+    store::Store st;
+    serve::IncrementalAnalyzer analyzer(st);
+    const char *app = "OpenSudoku";
+    SierraOptions insensitive;
+    insensitive.pta.ctx.policy = analysis::ContextPolicy::Insensitive;
+
+    corpus::BuiltApp first = corpus::buildNamedApp(app);
+    serve::IncrementalResult warm_default =
+        analyzer.analyze(*first.app, SierraOptions{});
+    corpus::BuiltApp second = corpus::buildNamedApp(app);
+    serve::IncrementalResult switched =
+        analyzer.analyze(*second.app, insensitive);
+
+    corpus::BuiltApp cold_app = corpus::buildNamedApp(app);
+    SierraDetector detector(*cold_app.app, insensitive);
+    const std::string cold =
+        formatReport(detector.analyze(insensitive), 50, false);
+    ASSERT_NE(cold, warm_default.reportText)
+        << app << " must differ between policies for this test to bite";
+    EXPECT_EQ(switched.reportText, cold);
 }
 
 } // namespace

@@ -220,10 +220,9 @@ TEST(StageTimesAccounting, TotalCpuEqualsSumOfStageFields)
         Registry m;
         AppReport report = analyzeWithMetrics("K-9 Mail", m, jobs);
         const StageTimes &t = report.times;
-        double stage_sum = t.cgPa + t.hbg + t.dataflow + t.escape +
-                           t.racy + t.lockset + t.deadlock +
-                           t.enablement + t.ifds + t.refutation +
-                           t.nullflow;
+        double stage_sum = 0;
+        for (double seconds : t.stage)
+            stage_sum += seconds;
         // fp-rounding tolerance only: the merge must not lose or
         // double-count any worker's CPU at any jobs count.
         EXPECT_NEAR(t.totalCpu, stage_sum,
@@ -233,20 +232,49 @@ TEST(StageTimesAccounting, TotalCpuEqualsSumOfStageFields)
     }
 }
 
+TEST(StageTimesAccounting, StageHistogramSumsEqualStageTimes)
+{
+    // Every stage's histogram -- per-harness stages observed once per
+    // task, app-level ones (dataflow) once per analyze() -- sums to the
+    // report's slot for that stage, so --metrics and the `time:` line
+    // always agree.
+    for (int jobs : {1, 4}) {
+        Registry m;
+        AppReport report = analyzeWithMetrics("NotePad", m, jobs);
+        for (const Stage &s : kStages) {
+            const std::string name =
+                std::string("stage.") + s.name + ".seconds";
+            HistogramSnapshot h = m.histogram(name);
+            EXPECT_EQ(h.count, s.appLevel ? 1 : report.harnesses)
+                << name << " jobs=" << jobs;
+            const double slot = report.times[s.id];
+            EXPECT_NEAR(h.sum, slot, 1e-12 + 1e-9 * slot)
+                << name << " jobs=" << jobs;
+        }
+        EXPECT_GT(report.times[StageId::Dataflow], 0.0);
+        EXPECT_NEAR(m.histogram("harness.cpu.seconds").sum +
+                        report.times[StageId::Dataflow],
+                    report.times.totalCpu,
+                    1e-12 + 1e-9 * report.times.totalCpu);
+    }
+}
+
 TEST(StageTimesAccounting, AddIsMergeOrderInvariant)
 {
     StageTimes a, b, c;
-    a.cgPa = 0.125; a.refutation = 0.5; a.totalCpu = 0.625;
-    b.hbg = 0.25; b.racy = 0.0625; b.totalCpu = 0.3125;
-    c.lockset = 1.0; c.escape = 0.03125; c.totalCpu = 1.03125;
+    a[StageId::CgPa] = 0.125; a[StageId::Refutation] = 0.5;
+    a.totalCpu = 0.625;
+    b[StageId::Hbg] = 0.25; b[StageId::Racy] = 0.0625; b.totalCpu = 0.3125;
+    c[StageId::Lockset] = 1.0; c[StageId::Escape] = 0.03125;
+    c.totalCpu = 1.03125;
 
     StageTimes abc;
     abc.add(a); abc.add(b); abc.add(c);
     StageTimes cba;
     cba.add(c); cba.add(b); cba.add(a);
     EXPECT_DOUBLE_EQ(abc.totalCpu, cba.totalCpu);
-    EXPECT_DOUBLE_EQ(abc.cgPa, cba.cgPa);
-    EXPECT_DOUBLE_EQ(abc.refutation, cba.refutation);
+    EXPECT_DOUBLE_EQ(abc[StageId::CgPa], cba[StageId::CgPa]);
+    EXPECT_DOUBLE_EQ(abc[StageId::Refutation], cba[StageId::Refutation]);
     // `total` (wall) is a whole-run property, never summed by add().
     EXPECT_DOUBLE_EQ(abc.total, 0.0);
 }

@@ -3,11 +3,11 @@
  * Stage-time rendering completeness (report_times_test).
  *
  * The text `time:` line and the JSON `timesMs` object are both
- * generated from stageTimeEntries(); a static_assert in detector.cc
- * pins the entry count to sizeof(StageTimes). These tests close the
- * remaining gap: every entry actually reaches both renderings, so a
- * stage added to StageTimes cannot silently miss the report or the
- * machine-readable output.
+ * generated from the stage table (sierra/stage.hh), and StageTimes
+ * holds one slot per table row. These tests close the remaining gap:
+ * every stage actually reaches both renderings, so a stage added to
+ * the table cannot silently miss the report or the machine-readable
+ * output.
  */
 
 #include <gtest/gtest.h>
@@ -46,20 +46,32 @@ timeLine(const std::string &text)
 
 TEST(ReportTimes, EntriesCoverEveryStageTimesField)
 {
-    AppReport report = analyzeNamed("NotePad", {});
-    std::vector<StageTimeEntry> entries = stageTimeEntries(report);
+    // One StageTimes slot per table row, each row at its StageId.
+    static_assert(std::tuple_size_v<decltype(StageTimes::stage)> ==
+                  kNumStages);
+    ASSERT_EQ(kStages.size(), kNumStages);
 
-    // One row per StageTimes double (the static_assert in detector.cc
-    // keeps this count in lock-step with the struct).
-    EXPECT_EQ(entries.size(), sizeof(StageTimes) / sizeof(double));
-
-    std::set<std::string> json_names, text_names;
-    for (const StageTimeEntry &e : entries) {
-        EXPECT_TRUE(json_names.insert(e.jsonName).second)
-            << "duplicate jsonName " << e.jsonName;
-        EXPECT_TRUE(text_names.insert(e.textName).second)
-            << "duplicate textName " << e.textName;
+    std::set<std::string> names, json_names, text_names, flags;
+    for (size_t i = 0; i < kStages.size(); ++i) {
+        const Stage &s = kStages[i];
+        EXPECT_EQ(static_cast<size_t>(s.id), i) << s.name;
+        EXPECT_TRUE(names.insert(s.name).second)
+            << "duplicate name " << s.name;
+        EXPECT_TRUE(json_names.insert(s.jsonKey).second)
+            << "duplicate jsonKey " << s.jsonKey;
+        EXPECT_TRUE(text_names.insert(s.textKey).second)
+            << "duplicate textKey " << s.textKey;
+        if (s.flag) {
+            EXPECT_TRUE(flags.insert(s.flag).second)
+                << "duplicate flag " << s.flag;
+            EXPECT_NE(s.toggle, nullptr) << s.flag << " toggles nothing";
+        }
     }
+    // The two non-stage keys never collide with a stage's.
+    for (const char *key : {"totalCpu", "total"})
+        EXPECT_FALSE(json_names.count(key)) << key;
+    for (const char *token : {"cpu", "total"})
+        EXPECT_FALSE(text_names.count(token)) << token;
 }
 
 TEST(ReportTimes, TextTimeLineRendersEveryInTextEntry)
@@ -68,21 +80,16 @@ TEST(ReportTimes, TextTimeLineRendersEveryInTextEntry)
     std::string line = timeLine(formatReport(report, 50, true));
     ASSERT_FALSE(line.empty());
 
-    for (const StageTimeEntry &e : stageTimeEntries(report)) {
-        std::string token = std::string(e.textName) + " ";
-        if (!e.inText) {
-            EXPECT_EQ(line.find(token), std::string::npos)
-                << e.textName << " rendered while gated off:\n"
-                << line;
-            continue;
-        }
-        // totalCpu renders inside total's parenthetical: "(cpu Xs)".
-        if (std::string(e.jsonName) == "totalCpu")
-            token = "(cpu ";
-        EXPECT_NE(line.find(token), std::string::npos)
-            << e.textName << " missing from the time line:\n"
+    for (const Stage &s : kStages) {
+        ASSERT_TRUE(report.showsStage(s.id)) << s.name;
+        EXPECT_NE(line.find(std::string(s.textKey) + " "),
+                  std::string::npos)
+            << s.textKey << " missing from the time line:\n"
             << line;
     }
+    // totalCpu renders inside total's parenthetical: "(cpu Xs)".
+    EXPECT_NE(line.find("total "), std::string::npos) << line;
+    EXPECT_NE(line.find("(cpu "), std::string::npos) << line;
 
     // And the no-times rendering has no time line at all.
     EXPECT_EQ(timeLine(formatReport(report, 50, false)), "");
@@ -90,16 +97,22 @@ TEST(ReportTimes, TextTimeLineRendersEveryInTextEntry)
 
 TEST(ReportTimes, GatedStagesDropFromTextButNeverFromEntries)
 {
+    // Turn every stage off: exactly the gated ones leave the line.
     SierraOptions off;
-    off.nullflow = false;
-    off.enablement = false;
+    for (const Stage &s : kStages)
+        disableStage(s, off);
     AppReport report = analyzeNamed("NotePad", off);
-
-    std::vector<StageTimeEntry> entries = stageTimeEntries(report);
-    EXPECT_EQ(entries.size(), sizeof(StageTimes) / sizeof(double));
 
     std::string line = timeLine(formatReport(report, 50, true));
     ASSERT_FALSE(line.empty());
+    for (const Stage &s : kStages) {
+        EXPECT_EQ(report.showsStage(s.id), !s.gatesText) << s.name;
+        EXPECT_EQ(line.find(std::string(s.textKey) + " ") ==
+                      std::string::npos,
+                  s.gatesText)
+            << s.textKey << ":\n"
+            << line;
+    }
     EXPECT_EQ(line.find("nullflow"), std::string::npos) << line;
     EXPECT_EQ(line.find("enablement"), std::string::npos) << line;
 }
@@ -145,30 +158,28 @@ TEST(ReportTimes, JsonTimesMsHasOneKeyPerStageTimesField)
     for (bool ablated : {false, true}) {
         std::vector<std::string> args = {"analyze", file.path(),
                                          "--json"};
-        if (ablated) {
-            args.push_back("--no-nullflow");
-            args.push_back("--no-enablement");
+        for (const Stage &s : kStages) {
+            if (ablated && s.gatesText)
+                args.push_back(s.flag);
         }
         std::ostringstream jout, jerr;
         ASSERT_EQ(cli::runCli(args, jout, jerr), 0) << jerr.str();
         std::string times = timesMsObject(jout.str());
         ASSERT_FALSE(times.empty()) << jout.str().substr(0, 400);
 
-        AppReport report = analyzeNamed("NotePad", {});
-        size_t keys = 0;
-        for (const StageTimeEntry &e : stageTimeEntries(report)) {
-            EXPECT_NE(times.find("\"" + std::string(e.jsonName) +
-                                 "\": "),
-                      std::string::npos)
-                << e.jsonName << " missing from timesMs: " << times;
-            ++keys;
+        std::vector<std::string> keys = {"totalCpu", "total"};
+        for (const Stage &s : kStages)
+            keys.push_back(s.jsonKey);
+        for (const std::string &key : keys) {
+            EXPECT_NE(times.find("\"" + key + "\": "), std::string::npos)
+                << key << " missing from timesMs: " << times;
         }
-        // No extra keys either: entry count == quote-pair count.
+        // No extra keys either: key count == quote-pair count.
         size_t quotes = 0;
         for (char c : times)
             quotes += (c == '"');
         // "timesMs" itself contributes one quoted token.
-        EXPECT_EQ(quotes, 2 * (keys + 1)) << times;
+        EXPECT_EQ(quotes, 2 * (keys.size() + 1)) << times;
     }
 }
 

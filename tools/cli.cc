@@ -16,12 +16,15 @@
 #include "framework/app_text.hh"
 #include "serve/serve.hh"
 #include "sierra/detector.hh"
+#include "util/json_escape.hh"
 #include "util/metrics.hh"
 #include "util/trace.hh"
 
 namespace sierra::cli {
 
 namespace {
+
+using util::jsonEscape;
 
 const char *kUsage = R"(usage: sierra <command> [options]
 
@@ -247,21 +250,6 @@ buildCorpusApp(const std::string &name, bool &ok, std::ostream &err)
     return {};
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
 void
 printReportJson(const AppReport &report, std::ostream &out,
                 const util::metrics::Registry *metrics = nullptr)
@@ -285,16 +273,15 @@ printReportJson(const AppReport &report, std::ostream &out,
     out << "  \"harmfulRaces\": " << report.harmfulRaces << ",\n";
     out << "  \"guardedRaces\": " << report.guardedRaces << ",\n";
     out << "  \"accessesDropped\": " << report.accessesDropped << ",\n";
-    // Generated from the same entry list as the text `time:` line, so
-    // every StageTimes field is present (report_times_test pins this).
+    // Generated from the stage table like the text `time:` line, but
+    // every key is always present (report_times_test pins this).
     out << "  \"timesMs\": {";
-    bool first_time = true;
-    for (const StageTimeEntry &e : stageTimeEntries(report)) {
-        out << (first_time ? "" : ", ") << "\"" << e.jsonName
-            << "\": " << e.seconds * 1e3;
-        first_time = false;
+    for (const Stage &stage : kStages) {
+        out << "\"" << stage.jsonKey
+            << "\": " << report.times[stage.id] * 1e3 << ", ";
     }
-    out << "},\n";
+    out << "\"totalCpu\": " << report.times.totalCpu * 1e3
+        << ", \"total\": " << report.times.total * 1e3 << "},\n";
     if (metrics)
         out << "  \"metrics\": " << metrics->toJson() << ",\n";
     out << "  \"useAfterDestroy\": [";
@@ -369,22 +356,15 @@ cmdAnalyze(const ParsedFlags &flags, std::ostream &out,
     }
     options.pta.ctx.k = flags.getInt("--k", 1);
     options.pta.ctx.heapK = options.pta.ctx.k;
-    options.runRefutation = !flags.has("--no-refute");
     options.pta.ctx.inflatedViewContext =
         !flags.has("--no-inflated-view");
     options.refuter.exec.useNodeCache = flags.has("--node-cache");
     options.pta.indexSensitiveArrays = flags.has("--index-sensitive");
     options.jobs = flags.getInt("--jobs", 0);
-    if (flags.has("--no-dataflow")) {
-        options.effectPrefilter = false;
-        options.refuter.exec.useConstFacts = false;
+    for (const Stage &stage : kStages) {
+        if (stage.flag && flags.has(stage.flag))
+            disableStage(stage, options);
     }
-    options.escapeFilter = !flags.has("--no-escape");
-    options.locksetRefutation = !flags.has("--no-lockset");
-    options.ifds = !flags.has("--no-ifds");
-    options.deadlock = !flags.has("--no-deadlock");
-    options.enablement = !flags.has("--no-enablement");
-    options.nullflow = !flags.has("--no-nullflow");
     options.icc = !flags.has("--no-icc");
 
     util::metrics::Registry registry;
