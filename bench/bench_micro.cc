@@ -110,20 +110,33 @@ BM_FullPipeline(benchmark::State &state)
 }
 BENCHMARK(BM_FullPipeline)->DenseRange(0, 3);
 
+/** The first activity's harness of a size-class app, analyzed up to
+ *  (not including) refutation: the refuter's input. */
+struct RefutationInput {
+    corpus::BuiltApp built; //!< owns the module the analysis points at
+    HarnessAnalysis ha;
+};
+
+RefutationInput
+refutationInput(int size_class)
+{
+    RefutationInput in{appFor(size_class), {}};
+    SierraDetector detector(*in.built.app);
+    SierraOptions no_refute;
+    no_refute.runRefutation = false;
+    in.ha = detector.analyzeActivity(
+        in.built.app->manifest().activities[0], no_refute);
+    return in;
+}
+
 void
 BM_Refutation(benchmark::State &state)
 {
-    corpus::BuiltApp built = appFor(state.range(0));
-    SierraDetector detector(*built.app);
-    SierraOptions no_refute;
-    no_refute.runRefutation = false;
-    const std::string activity =
-        built.app->manifest().activities[0];
-    HarnessAnalysis ha = detector.analyzeActivity(activity, no_refute);
+    RefutationInput in = refutationInput(state.range(0));
     for (auto _ : state) {
-        auto pairs = ha.pairs; // fresh flags each iteration
+        auto pairs = in.ha.pairs; // fresh flags each iteration
         symbolic::RefutationStats stats = symbolic::refuteRaces(
-            *ha.pta, ha.accesses, pairs, {});
+            *in.ha.pta, in.ha.accesses, pairs, {});
         benchmark::DoNotOptimize(stats.refuted);
     }
 }
@@ -334,15 +347,36 @@ emitMicroBenchJson()
         benchmark::DoNotOptimize(sum);
     });
 
+    // BM_Refutation's inputs, refuted serially (jobs 1) so the number
+    // is the executor's own cost, free of pool overhead.
+    std::string refutation;
+    for (int size_class = 0; size_class <= 3; ++size_class) {
+        RefutationInput in = refutationInput(size_class);
+        symbolic::RefuterOptions serial;
+        serial.jobs = 1;
+        double ns = nsPerOp(3, [&] {
+            auto pairs = in.ha.pairs;
+            symbolic::RefutationStats stats = symbolic::refuteRaces(
+                *in.ha.pta, in.ha.accesses, pairs, serial);
+            benchmark::DoNotOptimize(stats.refuted);
+        });
+        char row[160];
+        std::snprintf(row, sizeof(row),
+                      "%s{\"app\":\"%s\",\"pairs\":%zu,\"us\":%.1f}",
+                      size_class ? "," : "", in.built.app->name().c_str(),
+                      in.ha.pairs.size(), ns / 1e3);
+        refutation += row;
+    }
+
     bench::benchJson(
         "micro",
         "{\"bench\":\"micro\",\"n\":%d,\"universe\":%d,\"rows\":["
         "{\"op\":\"insert\",\"std_set_ns\":%.1f,\"objbitset_ns\":%.1f},"
         "{\"op\":\"union\",\"std_set_ns\":%.1f,\"objbitset_ns\":%.1f},"
         "{\"op\":\"iterate\",\"std_set_ns\":%.1f,\"objbitset_ns\":%.1f}"
-        "]}",
+        "],\"refutation\":[%s]}",
         n, universe, set_insert, bits_insert, set_union, bits_union,
-        set_iter, bits_iter);
+        set_iter, bits_iter, refutation.c_str());
 }
 
 } // namespace

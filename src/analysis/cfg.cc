@@ -114,20 +114,6 @@ Cfg::instrSuccs(int instr_idx) const
     return rawSuccs(_method, instr_idx);
 }
 
-std::vector<int>
-Cfg::instrPreds(int instr_idx) const
-{
-    std::vector<int> out;
-    const BasicBlock &block = _blocks[blockOf(instr_idx)];
-    if (instr_idx > block.first) {
-        out.push_back(instr_idx - 1);
-        return out;
-    }
-    for (int pb : block.preds)
-        out.push_back(_blocks[pb].last);
-    return out;
-}
-
 std::string
 Cfg::toString() const
 {

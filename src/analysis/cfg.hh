@@ -47,8 +47,25 @@ class Cfg
 
     /** Instruction-level successor indices of an instruction. */
     std::vector<int> instrSuccs(int instr_idx) const;
-    /** Instruction-level predecessor indices of an instruction. */
-    std::vector<int> instrPreds(int instr_idx) const;
+    /** Number of instruction-level predecessors of an instruction. */
+    int
+    numInstrPreds(int instr_idx) const
+    {
+        const BasicBlock &block = _blocks[blockOf(instr_idx)];
+        return instr_idx > block.first
+                   ? 1
+                   : static_cast<int>(block.preds.size());
+    }
+    /** The k-th predecessor, 0 <= k < numInstrPreds(instr_idx). The
+     *  pair allocates nothing: the symbolic executor walks
+     *  predecessors once per expanded state. */
+    int
+    instrPred(int instr_idx, int k) const
+    {
+        const BasicBlock &block = _blocks[blockOf(instr_idx)];
+        return instr_idx > block.first ? instr_idx - 1
+                                       : _blocks[block.preds[k]].last;
+    }
 
     /** Debug rendering: one line per block with ranges and edges. */
     std::string toString() const;

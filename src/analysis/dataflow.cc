@@ -189,49 +189,45 @@ struct ConstProblem {
 
 } // namespace
 
-void
-MethodConstants::transferInstr(const Instruction &instr,
-                               std::vector<ConstVal> &env)
+ConstVal
+MethodConstants::written(const Instruction &instr,
+                         const std::vector<ConstVal> &env)
 {
     switch (instr.op) {
-      case Opcode::ConstInt:
-        env[instr.dst] = constOf(instr.intValue);
-        break;
-      case Opcode::ConstNull:
-        env[instr.dst] = constOf(0);
-        break;
-      case Opcode::Move:
-        env[instr.dst] = env[instr.srcs[0]];
-        break;
+      case Opcode::ConstInt: return constOf(instr.intValue);
+      case Opcode::ConstNull: return constOf(0);
+      case Opcode::Move: return env[instr.srcs[0]];
       case Opcode::BinOp: {
         const ConstVal &l = env[instr.srcs[0]];
         const ConstVal &r = env[instr.srcs[1]];
-        env[instr.dst] =
-            l.isConst() && r.isConst()
-                ? constOf(air::evalBinOp(instr.binop, l.value, r.value))
-                : constTop();
-        break;
+        return l.isConst() && r.isConst()
+                   ? constOf(air::evalBinOp(instr.binop, l.value, r.value))
+                   : constTop();
       }
       case Opcode::UnOp: {
         const ConstVal &s = env[instr.srcs[0]];
-        if (s.isConst()) {
-            // Matches the dynamic interpreter: Not is logical.
-            env[instr.dst] = constOf(instr.unop == air::UnOpKind::Not
-                                         ? (s.value == 0 ? 1 : 0)
-                                         : -s.value);
-        } else {
-            env[instr.dst] = constTop();
-        }
-        break;
+        if (!s.isConst())
+            return constTop();
+        // Matches the dynamic interpreter: Not is logical.
+        return constOf(instr.unop == air::UnOpKind::Not
+                           ? (s.value == 0 ? 1 : 0)
+                           : -s.value);
       }
       default:
         // Loads, calls, allocations, ConstStr: unknown value. (New is
         // non-null but not a *known* integer; modeling it as a constant
         // would fold comparisons between two distinct allocations.)
-        if (instr.dst >= 0)
-            env[instr.dst] = constTop();
-        break;
+        return constTop();
     }
+}
+
+void
+MethodConstants::transferInstr(const Instruction &instr,
+                               std::vector<ConstVal> &env)
+{
+    // An instruction writes its destination register and nothing else.
+    if (instr.dst >= 0)
+        env[instr.dst] = written(instr, env);
 }
 
 MethodConstants::MethodConstants(const Cfg &cfg) : _method(&cfg.method())
@@ -289,9 +285,10 @@ MethodConstants::after(int instr, int reg) const
 {
     if (!_reachable[instr])
         return {};
-    std::vector<ConstVal> env = _before[instr];
-    transferInstr(_method->instr(instr), env);
-    return env[reg];
+    const Instruction &in = _method->instr(instr);
+    if (in.dst >= 0 && in.dst == reg)
+        return written(in, _before[instr]);
+    return _before[instr][reg];
 }
 
 // ---------------------------------------------------------------------

@@ -244,6 +244,10 @@ class MethodConstants
      *  (exposed for the solver's problem object and for tests). */
     static void transferInstr(const air::Instruction &instr,
                               std::vector<ConstVal> &env);
+    /** The value transferInstr writes to `instr.dst` (which must be a
+     *  register), read without copying or changing `env`. */
+    static ConstVal written(const air::Instruction &instr,
+                            const std::vector<ConstVal> &env);
 
   private:
     const air::Method *_method;

@@ -881,9 +881,8 @@ InterConstants::before(const air::Method *m, int instr, int reg) const
 }
 
 ConstVal
-InterConstants::after(const air::Method *m, int instr, int reg) const
+InterConstants::afterAt(int idx, int instr, int reg) const
 {
-    int idx = indexOf(m);
     if (idx < 0 || _stats.budgetExhausted)
         return constTop();
     const MethodInfo &mi = _methods[static_cast<size_t>(idx)];
@@ -891,33 +890,27 @@ InterConstants::after(const air::Method *m, int instr, int reg) const
         static_cast<size_t>(instr) >= mi.reachable.size() ||
         !mi.reachable[static_cast<size_t>(instr)])
         return constTop();
-    std::vector<ConstVal> env = mi.before[static_cast<size_t>(instr)];
-    const Instruction &in = m->instr(instr);
-    if (in.op == Opcode::Invoke) {
-        if (in.dst >= 0) {
-            ConstVal v = constTop();
-            if (!mi.unresolvedAt.count(instr)) {
-                auto at = mi.calleesAt.find(instr);
-                if (at != mi.calleesAt.end()) {
-                    v = ConstVal{};
-                    for (int c : at->second)
-                        v = constJoin(
-                            v,
-                            _methods[static_cast<size_t>(c)].ret);
-                }
-            }
-            env[static_cast<size_t>(in.dst)] = v;
-        }
-    } else {
-        MethodConstants::transferInstr(in, env);
-    }
-    return env[static_cast<size_t>(reg)];
+    const std::vector<ConstVal> &env =
+        mi.before[static_cast<size_t>(instr)];
+    const Instruction &in = mi.method->instr(instr);
+    if (in.dst < 0 || in.dst != reg)
+        return env[static_cast<size_t>(reg)];
+    if (in.op != Opcode::Invoke)
+        return MethodConstants::written(in, env);
+    if (mi.unresolvedAt.count(instr))
+        return constTop();
+    auto at = mi.calleesAt.find(instr);
+    if (at == mi.calleesAt.end())
+        return constTop();
+    ConstVal v; // Bottom
+    for (int c : at->second)
+        v = constJoin(v, _methods[static_cast<size_t>(c)].ret);
+    return v;
 }
 
 bool
-InterConstants::reachable(const air::Method *m, int instr) const
+InterConstants::reachableAt(int idx, int instr) const
 {
-    int idx = indexOf(m);
     if (idx < 0 || _stats.budgetExhausted)
         return true;
     const MethodInfo &mi = _methods[static_cast<size_t>(idx)];
@@ -927,10 +920,9 @@ InterConstants::reachable(const air::Method *m, int instr) const
 }
 
 bool
-InterConstants::edgeFeasible(const air::Method *m, int from_instr,
-                             int to_instr) const
+InterConstants::edgeFeasibleAt(int idx, int from_instr,
+                               int to_instr) const
 {
-    int idx = indexOf(m);
     if (idx < 0 || _stats.budgetExhausted)
         return true;
     return !_methods[static_cast<size_t>(idx)].infeasible.count(

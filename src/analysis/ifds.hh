@@ -88,15 +88,20 @@ class InterConstants
     /** Value of `reg` just before instruction `instr` of `m`, valid
      *  for *every* invocation of the method in this harness. */
     ConstVal before(const air::Method *m, int instr, int reg) const;
-    /** Value of `reg` just after instruction `instr` executes. */
-    ConstVal after(const air::Method *m, int instr, int reg) const;
 
-    /** Can instruction `instr` of `m` execute in any context? */
-    bool reachable(const air::Method *m, int instr) const;
+    /**
+     * Dense handle of `m`'s summary (-1 when it has none). The `...At`
+     * queries below take it in place of the method, so the symbolic
+     * executor's per-state loop looks each method up once.
+     */
+    int indexOf(const air::Method *m) const;
+    /** Value of `reg` just after instruction `instr` executes. */
+    ConstVal afterAt(int idx, int instr, int reg) const;
+    /** Can instruction `instr` execute in any context? */
+    bool reachableAt(int idx, int instr) const;
     /** Is the branch edge `from_instr` -> `to_instr` feasible under
      *  the interprocedural facts? */
-    bool edgeFeasible(const air::Method *m, int from_instr,
-                      int to_instr) const;
+    bool edgeFeasibleAt(int idx, int from_instr, int to_instr) const;
 
     /** Join of the values `m` can return (Bottom: no reachable
      *  return; Top: unknown). */
@@ -159,7 +164,6 @@ class InterConstants
   private:
     struct MethodInfo;
 
-    int indexOf(const air::Method *m) const;
     void buildUniverse();
     void buildCallLists();
     void computeRpo();

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "air/logging.hh"
 
@@ -41,13 +40,16 @@ sameLoc(const race::MemLoc &a, const race::MemLoc &b)
     return a == b;
 }
 
-void
+/** Replace `op` by `value` when it is the `pattern` operand. */
+bool
 substOperand(Operand &op, const Operand &pattern, const Operand &value)
 {
-    if (pattern.isReg() && op.isReg() && op.reg == pattern.reg)
+    if ((pattern.isReg() && op.isReg() && op.reg == pattern.reg) ||
+        (pattern.isLoc() && op.isLoc() && sameLoc(op.loc, pattern.loc))) {
         op = value;
-    else if (pattern.isLoc() && op.isLoc() && sameLoc(op.loc, pattern.loc))
-        op = value;
+        return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -89,7 +91,7 @@ ConstraintStore::resimplifyAll()
 {
     if (_failed)
         return false;
-    std::vector<Atom> kept;
+    size_t kept = 0;
     for (Atom &a : _atoms) {
         int s = simplify(a);
         if (s == -1) {
@@ -97,14 +99,22 @@ ConstraintStore::resimplifyAll()
             return false;
         }
         if (s == 0)
-            kept.push_back(std::move(a));
+            _atoms[kept++] = a;
     }
-    _atoms = std::move(kept);
+    _atoms.resize(kept);
     if (!solveLocConstSystem(_atoms)) {
         _failed = true;
         return false;
     }
     return true;
+}
+
+template <typename Pred>
+void
+ConstraintStore::dropIf(Pred drop)
+{
+    _atoms.erase(std::remove_if(_atoms.begin(), _atoms.end(), drop),
+                 _atoms.end());
 }
 
 bool
@@ -117,47 +127,48 @@ ConstraintStore::add(Atom atom)
         _failed = true;
         return false;
     }
-    if (s == 0)
-        _atoms.push_back(std::move(atom));
-    return resimplifyAll();
+    if (s == 1)
+        return true; // nothing added: the invariant still holds
+    // The other atoms are already simplified; only the domains change.
+    _atoms.push_back(atom);
+    if (!solveLocConstSystem(_atoms)) {
+        _failed = true;
+        return false;
+    }
+    return true;
+}
+
+bool
+ConstraintStore::substitute(const Operand &pattern, const Operand &value)
+{
+    if (_failed)
+        return false;
+    bool hit = false;
+    for (Atom &a : _atoms) {
+        hit |= substOperand(a.lhs, pattern, value);
+        hit |= substOperand(a.rhs, pattern, value);
+    }
+    // Untouched atoms are as simplified and as satisfiable as before.
+    return hit ? resimplifyAll() : true;
 }
 
 bool
 ConstraintStore::substituteReg(int reg, const Operand &value)
 {
-    if (_failed)
-        return false;
-    Operand pattern = Operand::regOp(reg);
-    for (Atom &a : _atoms) {
-        substOperand(a.lhs, pattern, value);
-        substOperand(a.rhs, pattern, value);
-    }
-    return resimplifyAll();
+    return substitute(Operand::regOp(reg), value);
 }
 
 bool
 ConstraintStore::substituteLoc(const race::MemLoc &loc,
                                const Operand &value)
 {
-    if (_failed)
-        return false;
-    Operand pattern = Operand::locOp(loc);
-    for (Atom &a : _atoms) {
-        substOperand(a.lhs, pattern, value);
-        substOperand(a.rhs, pattern, value);
-    }
-    return resimplifyAll();
+    return substitute(Operand::locOp(loc), value);
 }
 
 void
 ConstraintStore::dropRegAtoms()
 {
-    std::vector<Atom> kept;
-    for (Atom &a : _atoms) {
-        if (!a.lhs.isReg() && !a.rhs.isReg())
-            kept.push_back(std::move(a));
-    }
-    _atoms = std::move(kept);
+    dropIf([](const Atom &a) { return a.lhs.isReg() || a.rhs.isReg(); });
 }
 
 void
@@ -166,51 +177,51 @@ ConstraintStore::dropRegsInRange(int lo, int hi)
     auto mentions = [&](const Operand &op) {
         return op.isReg() && op.reg >= lo && op.reg < hi;
     };
-    std::vector<Atom> kept;
-    for (Atom &a : _atoms) {
-        if (!mentions(a.lhs) && !mentions(a.rhs))
-            kept.push_back(std::move(a));
-    }
-    _atoms = std::move(kept);
+    dropIf([&](const Atom &a) {
+        return mentions(a.lhs) || mentions(a.rhs);
+    });
 }
 
 bool
 ConstraintStore::substituteKeyWithConst(analysis::FieldKey key,
                                         int64_t value,
-                                        const std::set<int> &objs)
+                                        std::span<const int> objs)
 {
     if (_failed)
         return false;
     Operand v = Operand::constant(value);
     auto matches = [&](const Operand &op) {
         return op.isLoc() && op.loc.key == key &&
-               (objs.empty() || objs.count(op.loc.obj));
+               (objs.empty() || std::find(objs.begin(), objs.end(),
+                                          op.loc.obj) != objs.end());
     };
+    bool hit = false;
     for (Atom &a : _atoms) {
-        if (matches(a.lhs))
+        if (matches(a.lhs)) {
             a.lhs = v;
-        if (matches(a.rhs))
+            hit = true;
+        }
+        if (matches(a.rhs)) {
             a.rhs = v;
+            hit = true;
+        }
     }
-    return resimplifyAll();
+    return hit ? resimplifyAll() : true;
 }
 
 void
-ConstraintStore::dropLocsByKey(
-    const std::vector<analysis::FieldKey> &keys)
+ConstraintStore::dropLocsByKey(std::span<const analysis::FieldKey> keys)
 {
+    if (keys.empty())
+        return;
     auto mentions = [&](const Operand &op) {
-        if (!op.isLoc())
-            return false;
-        return std::find(keys.begin(), keys.end(), op.loc.key) !=
-               keys.end();
+        return op.isLoc() &&
+               std::find(keys.begin(), keys.end(), op.loc.key) !=
+                   keys.end();
     };
-    std::vector<Atom> kept;
-    for (Atom &a : _atoms) {
-        if (!mentions(a.lhs) && !mentions(a.rhs))
-            kept.push_back(std::move(a));
-    }
-    _atoms = std::move(kept);
+    dropIf([&](const Atom &a) {
+        return mentions(a.lhs) || mentions(a.rhs);
+    });
 }
 
 bool
@@ -241,78 +252,124 @@ ConstraintStore::toString() const
     return os.str();
 }
 
+namespace {
+
+/** One loc-vs-const atom, flattened: its domain and its bound. */
+struct Bound {
+    int obj;
+    bool isStatic;
+    analysis::FieldId key;
+    CondKind cond;
+    int64_t value;
+
+    bool
+    sameDomain(const Bound &o) const
+    {
+        return obj == o.obj && isStatic == o.isStatic && key == o.key;
+    }
+    /** Domain first, then value: a domain's bounds are contiguous and
+     *  its equal `ne` values adjacent. */
+    bool
+    operator<(const Bound &o) const
+    {
+        return std::tie(obj, isStatic, key, value) <
+               std::tie(o.obj, o.isStatic, o.key, o.value);
+    }
+};
+
+/** Is one location's domain, given by its bounds [first, last) sorted
+ *  by value, non-empty? */
+bool
+domainSatisfiable(const Bound *first, const Bound *last)
+{
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    int64_t lo = kMin, hi = kMax;
+    bool has_eq = false;
+    int64_t eq = 0;
+    for (const Bound *b = first; b != last; ++b) {
+        const int64_t v = b->value;
+        switch (b->cond) {
+          case CondKind::Eq:
+            if (has_eq && eq != v)
+                return false;
+            has_eq = true;
+            eq = v;
+            break;
+          case CondKind::Ne: break; // counted below
+          case CondKind::Lt:
+            if (v == kMin)
+                return false; // nothing is below the minimum
+            hi = std::min(hi, v - 1);
+            break;
+          case CondKind::Le: hi = std::min(hi, v); break;
+          case CondKind::Gt:
+            if (v == kMax)
+                return false;
+            lo = std::max(lo, v + 1);
+            break;
+          case CondKind::Ge: lo = std::max(lo, v); break;
+        }
+    }
+    if (lo > hi)
+        return false;
+    if (has_eq) {
+        if (eq < lo || eq > hi)
+            return false;
+        for (const Bound *b = first; b != last; ++b) {
+            if (b->cond == CondKind::Ne && b->value == eq)
+                return false;
+        }
+        return true;
+    }
+    // Interval minus the excluded points must be non-empty. Width is
+    // computed in unsigned arithmetic: hi - lo would overflow for the
+    // unbounded interval (which a finite ne-set never fully excludes).
+    uint64_t width =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (width == std::numeric_limits<uint64_t>::max())
+        return true;
+    // Distinct in-range `ne` values: equal ones are adjacent.
+    uint64_t excluded = 0;
+    bool any = false;
+    int64_t prev = 0;
+    for (const Bound *b = first; b != last; ++b) {
+        if (b->cond != CondKind::Ne || b->value < lo || b->value > hi)
+            continue;
+        if (!any || b->value != prev)
+            ++excluded;
+        any = true;
+        prev = b->value;
+    }
+    return excluded < width + 1;
+}
+
+} // namespace
+
 bool
 solveLocConstSystem(const std::vector<Atom> &atoms)
 {
-    // Group loc-vs-const atoms per location; other atoms (loc-vs-loc,
-    // reg atoms) are treated as satisfiable.
-    struct Domain {
-        int64_t lo{std::numeric_limits<int64_t>::min()};
-        int64_t hi{std::numeric_limits<int64_t>::max()};
-        bool hasEq{false};
-        int64_t eq{0};
-        std::set<int64_t> ne;
-    };
-    // Domain key: (base object, static?, interned key id). Interned
-    // ids replace the old "s:"/"i:"-prefixed strings; satisfiability
-    // does not depend on domain ordering, so id order is fine.
-    std::map<std::tuple<int, bool, analysis::FieldId>, Domain> domains;
-
+    // Flatten the loc-vs-const atoms into a per-thread scratch array
+    // and sort it by domain; other atoms (loc-vs-loc, reg atoms) are
+    // treated as satisfiable. Satisfiability does not depend on the
+    // order of domains, so interned-id order is fine.
+    thread_local std::vector<Bound> bounds;
+    bounds.clear();
     for (const Atom &a : atoms) {
         if (!a.lhs.isLoc() || !a.rhs.isConst())
             continue;
-        auto key = std::make_tuple(a.lhs.loc.obj, a.lhs.loc.isStatic,
-                                   a.lhs.loc.key.id);
-        Domain &d = domains[key];
-        int64_t v = a.rhs.value;
-        switch (a.cond) {
-          case CondKind::Eq:
-            if (d.hasEq && d.eq != v)
-                return false;
-            d.hasEq = true;
-            d.eq = v;
-            break;
-          case CondKind::Ne:
-            d.ne.insert(v);
-            break;
-          case CondKind::Lt:
-            d.hi = std::min(d.hi, v - 1);
-            break;
-          case CondKind::Le:
-            d.hi = std::min(d.hi, v);
-            break;
-          case CondKind::Gt:
-            d.lo = std::max(d.lo, v + 1);
-            break;
-          case CondKind::Ge:
-            d.lo = std::max(d.lo, v);
-            break;
-        }
+        bounds.push_back({a.lhs.loc.obj, a.lhs.loc.isStatic,
+                          a.lhs.loc.key.id, a.cond, a.rhs.value});
     }
-    for (const auto &[key, d] : domains) {
-        if (d.lo > d.hi)
+    std::sort(bounds.begin(), bounds.end());
+    const Bound *data = bounds.data();
+    for (size_t i = 0, n = bounds.size(); i < n;) {
+        size_t j = i + 1;
+        while (j < n && data[j].sameDomain(data[i]))
+            ++j;
+        if (!domainSatisfiable(data + i, data + j))
             return false;
-        if (d.hasEq) {
-            if (d.eq < d.lo || d.eq > d.hi || d.ne.count(d.eq))
-                return false;
-            continue;
-        }
-        // Interval minus excluded points must be non-empty. Width is
-        // computed in unsigned arithmetic: hi - lo would overflow for
-        // the unbounded interval (and an unbounded interval can never
-        // be fully excluded by a finite ne-set anyway).
-        uint64_t width = static_cast<uint64_t>(d.hi) -
-                         static_cast<uint64_t>(d.lo);
-        if (width != std::numeric_limits<uint64_t>::max() &&
-            width + 1 <= d.ne.size()) {
-            uint64_t count = 0;
-            for (int64_t v : d.ne) {
-                if (v >= d.lo && v <= d.hi)
-                    ++count;
-            }
-            if (count >= width + 1)
-                return false;
-        }
+        i = j;
     }
     return true;
 }

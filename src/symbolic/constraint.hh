@@ -15,7 +15,7 @@
 #define SIERRA_SYMBOLIC_CONSTRAINT_HH
 
 #include <cstdint>
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,6 +81,11 @@ struct Atom {
  * The store is path-local: backward execution copies it when forking.
  * All mutating operations return false when the conjunction became
  * unsatisfiable (the path can be pruned).
+ *
+ * Invariant of a store that has not failed: every atom is simplified
+ * and the Loc-vs-Const fragment is satisfiable. Drops keep it (fewer
+ * atoms only widen the solver's domains), so a substitution that
+ * matches no atom returns true without re-solving.
  */
 class ConstraintStore
 {
@@ -107,10 +112,15 @@ class ConstraintStore
      *  by interned id, so the FieldKey must come from the same
      *  interner as the accesses (the harness's PointsToResult). */
     bool substituteKeyWithConst(analysis::FieldKey key, int64_t value,
-                                const std::set<int> &objs = {});
+                                std::span<const int> objs = {});
 
     /** Drop atoms on locations whose key is in `keys` (call havoc). */
-    void dropLocsByKey(const std::vector<analysis::FieldKey> &keys);
+    void dropLocsByKey(std::span<const analysis::FieldKey> keys);
+    void
+    dropLocsByKey(analysis::FieldKey key)
+    {
+        dropLocsByKey(std::span<const analysis::FieldKey>(&key, 1));
+    }
 
     /** Re-map register operands across a call frame: register `from` in
      *  the callee becomes register `to` in the caller. */
@@ -131,6 +141,11 @@ class ConstraintStore
      *  unsat). */
     static int simplify(Atom &atom);
     bool resimplifyAll();
+    /** Replace every `pattern` operand (a Reg or a Loc) with `value`
+     *  and re-solve; true without re-solving when none occurs. */
+    bool substitute(const Operand &pattern, const Operand &value);
+    /** Erase the atoms `drop` selects, keeping the others' order. */
+    template <typename Pred> void dropIf(Pred drop);
 
     std::vector<Atom> _atoms;
     bool _failed{false};
@@ -138,8 +153,9 @@ class ConstraintStore
 
 /**
  * Decide satisfiability of a conjunction of (loc COND const) atoms over
- * integers. Exposed for direct testing; ConstraintStore::consistent()
- * delegates here.
+ * 64-bit integers (other atoms are treated as satisfiable). Exposed for
+ * direct testing; ConstraintStore::consistent() delegates here. Works
+ * in a per-thread scratch array, so it allocates nothing once warm.
  */
 bool solveLocConstSystem(const std::vector<Atom> &atoms);
 

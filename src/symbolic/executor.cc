@@ -25,7 +25,9 @@ queryVerdictName(QueryVerdict v)
 BackwardExecutor::BackwardExecutor(const analysis::PointsToResult &result,
                                    ExecutorOptions options,
                                    RefutedNodeCache *shared_cache)
-    : _r(result), _opts(options), _nodeCache(shared_cache)
+    : _r(result), _opts(options),
+      _slotOfNode(static_cast<size_t>(result.cg.numNodes()), nullptr),
+      _nodeCache(shared_cache)
 {
     if (!_nodeCache) {
         _ownedCache = std::make_unique<RefutedNodeCache>();
@@ -33,28 +35,53 @@ BackwardExecutor::BackwardExecutor(const analysis::PointsToResult &result,
     }
 }
 
-const analysis::Cfg &
-BackwardExecutor::cfgOf(const air::Method *m)
+BackwardExecutor::MethodSlot &
+BackwardExecutor::slotOf(NodeId n)
 {
-    auto it = _cfgs.find(m);
-    if (it != _cfgs.end())
-        return *it->second;
-    auto cfg = std::make_unique<analysis::Cfg>(*m);
-    const analysis::Cfg &ref = *cfg;
-    _cfgs.emplace(m, std::move(cfg));
-    return ref;
+    MethodSlot *&cached = _slotOfNode[static_cast<size_t>(n)];
+    if (cached)
+        return *cached;
+    const air::Method *m = _r.cg.node(n).method;
+    MethodSlot &slot = _slots[m];
+    if (!slot.cfg) {
+        slot.cfg = std::make_unique<analysis::Cfg>(*m);
+        slot.interIdx = _opts.inter ? _opts.inter->indexOf(m) : -1;
+    }
+    cached = &slot;
+    return slot;
 }
 
 const analysis::MethodConstants &
-BackwardExecutor::factsOf(const air::Method *m)
+BackwardExecutor::factsOf(MethodSlot &slot)
 {
-    auto it = _constFacts.find(m);
-    if (it != _constFacts.end())
-        return *it->second;
-    auto facts = std::make_unique<analysis::MethodConstants>(cfgOf(m));
-    const analysis::MethodConstants &ref = *facts;
-    _constFacts.emplace(m, std::move(facts));
-    return ref;
+    if (!slot.facts)
+        slot.facts = std::make_unique<analysis::MethodConstants>(*slot.cfg);
+    return *slot.facts;
+}
+
+analysis::FieldKey
+BackwardExecutor::keyOf(KeyKind kind, analysis::ObjId obj,
+                        const air::FieldRef *field)
+{
+    auto [it, inserted] =
+        _keyMemo.try_emplace(KeyMemoKey{field, obj, kind});
+    if (!inserted)
+        return it->second;
+    switch (kind) {
+      case KeyKind::Instance: it->second = _r.fieldKey(obj, *field); break;
+      case KeyKind::Static: it->second = _r.staticKey(*field); break;
+      case KeyKind::Declared:
+        it->second =
+            _r.internKey(field->className + "." + field->fieldName);
+        break;
+      case KeyKind::Elems:
+        it->second = _r.internKey(_r.objects.get(obj).klassName +
+                                      ".$elems",
+                                  analysis::FieldKey::kArray |
+                                      analysis::FieldKey::kWildcard);
+        break;
+    }
+    return it->second;
 }
 
 const std::vector<analysis::FieldKey> &
@@ -78,21 +105,17 @@ BackwardExecutor::mayWriteKeys(NodeId n)
               case Opcode::PutField:
                 for (analysis::ObjId o :
                      _r.pointsTo(n, instr.srcs[0])) {
-                    keys.insert(_r.fieldKey(o, instr.field));
+                    keys.insert(keyOf(KeyKind::Instance, o, &instr.field));
                 }
-                keys.insert(_r.internKey(instr.field.className + "." +
-                                         instr.field.fieldName));
+                keys.insert(keyOf(KeyKind::Declared, -1, &instr.field));
                 break;
               case Opcode::PutStatic:
-                keys.insert(_r.staticKey(instr.field));
+                keys.insert(keyOf(KeyKind::Static, -1, &instr.field));
                 break;
               case Opcode::ArrayPut:
                 for (analysis::ObjId o :
                      _r.pointsTo(n, instr.srcs[0])) {
-                    keys.insert(_r.internKey(
-                        _r.objects.get(o).klassName + ".$elems",
-                        analysis::FieldKey::kArray |
-                            analysis::FieldKey::kWildcard));
+                    keys.insert(keyOf(KeyKind::Elems, o, nullptr));
                 }
                 break;
               default:
@@ -114,20 +137,20 @@ BackwardExecutor::mayWriteKeys(NodeId n)
 
 bool
 BackwardExecutor::resolveLoc(NodeId n, int reg,
-                             const air::FieldRef &field,
-                             MemLoc &out) const
+                             const air::FieldRef &field, MemLoc &out)
 {
     const auto &pts = _r.pointsTo(n, reg);
     if (pts.size() != 1)
         return false;
     out.isStatic = false;
     out.obj = *pts.begin();
-    out.key = _r.fieldKey(out.obj, field);
+    out.key = keyOf(KeyKind::Instance, out.obj, &field);
     return true;
 }
 
 bool
-BackwardExecutor::transfer(PathState &st, const Instruction &instr)
+BackwardExecutor::transfer(PathState &st, MethodSlot &slot,
+                           const Instruction &instr)
 {
     ConstraintStore &store = st.store;
     const int f = st.frame;
@@ -144,9 +167,8 @@ BackwardExecutor::transfer(PathState &st, const Instruction &instr)
         // Arithmetic results are opaque to the WP transfer, but the
         // constant fixpoint may know the value holds on every run.
         if (_opts.useConstFacts) {
-            const air::Method *m = _r.cg.node(st.node).method;
             analysis::ConstVal v =
-                factsOf(m).after(st.instr, instr.dst);
+                factsOf(slot).after(st.instr, instr.dst);
             if (v.isConst()) {
                 return store.substituteReg(regKey(f, instr.dst),
                                            Operand::constant(v.value));
@@ -155,9 +177,8 @@ BackwardExecutor::transfer(PathState &st, const Instruction &instr)
         if (_opts.inter) {
             // Second chance: the interprocedural facts may pin a value
             // the intraprocedural solve left Top (setter parameters).
-            const air::Method *m = _r.cg.node(st.node).method;
             analysis::ConstVal v =
-                _opts.inter->after(m, st.instr, instr.dst);
+                _opts.inter->afterAt(slot.interIdx, st.instr, instr.dst);
             if (v.isConst()) {
                 ++_stats.interApplied;
                 return store.substituteReg(regKey(f, instr.dst),
@@ -194,23 +215,22 @@ BackwardExecutor::transfer(PathState &st, const Instruction &instr)
                 loc, Operand::regOp(regKey(f, instr.srcs[1])));
         }
         // Ambiguous base: weak update, havoc by key.
-        store.dropLocsByKey({_r.internKey(instr.field.className + "." +
-                                          instr.field.fieldName)});
+        store.dropLocsByKey(keyOf(KeyKind::Declared, -1, &instr.field));
         for (analysis::ObjId o : _r.pointsTo(st.node, instr.srcs[0]))
-            store.dropLocsByKey({_r.fieldKey(o, instr.field)});
+            store.dropLocsByKey(keyOf(KeyKind::Instance, o, &instr.field));
         return !store.failed();
       }
       case Opcode::GetStatic: {
         MemLoc loc;
         loc.isStatic = true;
-        loc.key = _r.staticKey(instr.field);
+        loc.key = keyOf(KeyKind::Static, -1, &instr.field);
         return store.substituteReg(regKey(f, instr.dst),
                                    Operand::locOp(loc));
       }
       case Opcode::PutStatic: {
         MemLoc loc;
         loc.isStatic = true;
-        loc.key = _r.staticKey(instr.field);
+        loc.key = keyOf(KeyKind::Static, -1, &instr.field);
         return store.substituteLoc(
             loc, Operand::regOp(regKey(f, instr.srcs[0])));
       }
@@ -218,12 +238,8 @@ BackwardExecutor::transfer(PathState &st, const Instruction &instr)
         return store.substituteReg(regKey(f, instr.dst),
                                    Operand::unknown());
       case Opcode::ArrayPut:
-        for (analysis::ObjId o : _r.pointsTo(st.node, instr.srcs[0])) {
-            store.dropLocsByKey({_r.internKey(
-                _r.objects.get(o).klassName + ".$elems",
-                analysis::FieldKey::kArray |
-                    analysis::FieldKey::kWildcard)});
-        }
+        for (analysis::ObjId o : _r.pointsTo(st.node, instr.srcs[0]))
+            store.dropLocsByKey(keyOf(KeyKind::Elems, o, nullptr));
         return !store.failed();
       default:
         return !store.failed();
@@ -257,7 +273,8 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
     // Callees of this site within the current phase's walk.
     analysis::SiteId site =
         _r.sites.find(_r.cg.node(st.node).method, st.instr);
-    std::vector<NodeId> callees;
+    std::vector<NodeId> &callees = _callees;
+    callees.clear();
     for (const auto &edge : _r.cg.edgesOf(st.node)) {
         if (edge.site == site &&
             _r.cg.node(edge.callee).method->hasBody()) {
@@ -314,7 +331,7 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
                     MemLoc loc;
                     if (mw.isStatic) {
                         loc.isStatic = true;
-                        loc.key = _r.staticKey(mw.field);
+                        loc.key = keyOf(KeyKind::Static, -1, &mw.field);
                     } else {
                         // Instance facts are writes through the
                         // callee's `this`: usable only when that
@@ -323,7 +340,7 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
                         if (pts.size() != 1)
                             continue;
                         loc.obj = *pts.begin();
-                        loc.key = _r.fieldKey(loc.obj, mw.field);
+                        loc.key = keyOf(KeyKind::Instance, loc.obj, &mw.field);
                     }
                     cur.emplace(loc,
                                 std::make_pair(mw.value,
@@ -374,24 +391,42 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
     }
 
     // Descend: continue backward from each callee exit; resume at this
-    // call site when the callee's entry is reached.
-    for (NodeId c : callees) {
+    // call site when the callee's entry is reached. `st` is spent, so
+    // the last exit takes it over instead of a copy.
+    auto is_exit = [](const Instruction &in) {
+        return in.op == Opcode::Return || in.op == Opcode::ReturnVoid ||
+               in.op == Opcode::Throw;
+    };
+    size_t last_callee = callees.size();
+    int last_exit = -1;
+    for (size_t ci = 0; ci < callees.size(); ++ci) {
+        const air::Method *cm = _r.cg.node(callees[ci]).method;
+        for (int e = 0; e < cm->numInstrs(); ++e) {
+            if (is_exit(cm->instr(e))) {
+                last_callee = ci;
+                last_exit = e;
+            }
+        }
+    }
+    const Frame return_to{st.node, st.instr, st.frame};
+    const int depth = st.depth;
+    int next_frame = st.nextFrame;
+    for (size_t ci = 0; ci < callees.size(); ++ci) {
+        const NodeId c = callees[ci];
         const air::Method *cm = _r.cg.node(c).method;
         for (int e = 0; e < cm->numInstrs(); ++e) {
             const Instruction &exit_instr = cm->instr(e);
-            if (exit_instr.op != Opcode::Return &&
-                exit_instr.op != Opcode::ReturnVoid &&
-                exit_instr.op != Opcode::Throw) {
+            if (!is_exit(exit_instr))
                 continue;
-            }
-            PathState next = st;
+            const bool last = ci == last_callee && e == last_exit;
+            PathState next = last ? std::move(st) : st;
             next.node = c;
             next.instr = e;
             next.skipEffect = true;
-            next.depth = st.depth + 1;
-            next.frame = st.nextFrame++;
-            next.nextFrame = st.nextFrame;
-            next.callStack.push_back({st.node, st.instr, st.frame});
+            next.depth = depth + 1;
+            next.frame = next_frame++;
+            next.nextFrame = next_frame;
+            next.callStack.push_back(return_to);
             // The call's destination register holds the return value.
             if (instr.dst >= 0) {
                 Operand ret =
@@ -400,7 +435,7 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
                               regKey(next.frame, exit_instr.srcs[0]))
                         : Operand::unknown();
                 if (!next.store.substituteReg(
-                        regKey(st.frame, instr.dst), ret)) {
+                        regKey(return_to.frame, instr.dst), ret)) {
                     continue;
                 }
             }
@@ -411,14 +446,14 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
 }
 
 bool
-BackwardExecutor::startPhaseB(const PathState &st, int action_b,
-                              std::vector<PathState> &stack)
+BackwardExecutor::startPhaseB(const ConstraintStore &store, int depth,
+                              int action_b, std::vector<PathState> &stack)
 {
     const analysis::Action &b = _r.actions.get(action_b);
     if (b.entryNode < 0) {
         // B has no analyzable body: it cannot conflict with the
         // constraints, so the ordering is feasible if the store is.
-        return st.store.consistent();
+        return store.consistent();
     }
     const air::Method *bm = _r.cg.node(b.entryNode).method;
     for (int i = 0; i < bm->numInstrs(); ++i) {
@@ -431,10 +466,10 @@ BackwardExecutor::startPhaseB(const PathState &st, int action_b,
             next.node = b.entryNode;
             next.instr = i;
             next.skipEffect = true;
-            next.depth = st.depth + 1;
+            next.depth = depth + 1;
             next.frame = 0;
             next.nextFrame = 1;
-            next.store = st.store;
+            next.store = store;
             stack.push_back(std::move(next));
         }
     }
@@ -442,25 +477,26 @@ BackwardExecutor::startPhaseB(const PathState &st, int action_b,
 }
 
 bool
-BackwardExecutor::atEntry(PathState st, int action_a, int action_b,
-                          std::vector<PathState> &stack)
+BackwardExecutor::atEntry(const PathState &st, int action_a,
+                          int action_b, std::vector<PathState> &stack)
 {
     const air::Method *m = _r.cg.node(st.node).method;
 
     // Returning from a descended call: resume in the caller.
     if (!st.callStack.empty()) {
-        Frame caller = st.callStack.back();
-        st.callStack.pop_back();
+        PathState next = st;
+        Frame caller = next.callStack.back();
+        next.callStack.pop_back();
         const air::Method *cm = _r.cg.node(caller.node).method;
         const Instruction &call = cm->instr(caller.instr);
-        if (!bindFrame(st.store, m, st.frame, call, caller.frame))
+        if (!bindFrame(next.store, m, st.frame, call, caller.frame))
             return false;
-        st.node = caller.node;
-        st.instr = caller.instr;
-        st.frame = caller.frame;
-        st.skipEffect = true;
-        st.depth += 1;
-        stack.push_back(std::move(st));
+        next.node = caller.node;
+        next.instr = caller.instr;
+        next.frame = caller.frame;
+        next.skipEffect = true;
+        next.depth += 1;
+        stack.push_back(std::move(next));
         return false;
     }
 
@@ -469,6 +505,7 @@ BackwardExecutor::atEntry(PathState st, int action_a, int action_b,
 
     if (st.node != phase_action.entryNode) {
         // Cross upward to callers within the same action.
+        int next_frame = st.nextFrame;
         for (NodeId caller : _r.cg.callersOf(st.node)) {
             if (!_r.cg.actionsOf(caller).count(phase_action.id))
                 continue;
@@ -483,8 +520,8 @@ BackwardExecutor::atEntry(PathState st, int action_a, int action_b,
                 next.instr = call_instr;
                 next.skipEffect = true;
                 next.depth = st.depth + 1;
-                next.frame = st.nextFrame++;
-                next.nextFrame = st.nextFrame;
+                next.frame = next_frame++;
+                next.nextFrame = next_frame;
                 // Callee frame regs become caller argument regs; note
                 // the roles: st.frame is the callee frame here.
                 if (!bindFrame(next.store, m, st.frame, call,
@@ -499,33 +536,35 @@ BackwardExecutor::atEntry(PathState st, int action_a, int action_b,
 
     // Reached the action's entry: apply message-what facts and drop the
     // remaining register atoms (parameters are unconstrained inputs).
+    ConstraintStore store = st.store;
     if (phase_action.messageWhat >= 0) {
         // Restrict the substitution to the handled message's abstract
         // objects (the handleMessage parameter); other Message objects
         // in scope keep their symbolic `what`.
-        std::set<int> msg_objs;
+        _msgObjs.clear();
         if (phase_action.entryNode >= 0) {
             const air::Method *em =
                 _r.cg.node(phase_action.entryNode).method;
             if (em->numParams() >= 1) {
                 for (analysis::ObjId o : _r.pointsTo(
                          phase_action.entryNode, em->paramReg(0))) {
-                    msg_objs.insert(o);
+                    _msgObjs.push_back(o);
                 }
             }
         }
-        if (!st.store.substituteKeyWithConst(
-                _r.internKey("android.os.Message.what"),
-                phase_action.messageWhat, msg_objs)) {
+        if (_messageWhat.id == util::StringInterner::kInvalid)
+            _messageWhat = _r.internKey("android.os.Message.what");
+        if (!store.substituteKeyWithConst(
+                _messageWhat, phase_action.messageWhat, _msgObjs)) {
             return false;
         }
     }
-    st.store.dropRegAtoms();
-    if (!st.store.consistent())
+    store.dropRegAtoms();
+    if (!store.consistent())
         return false;
 
     if (st.phase == 0)
-        return startPhaseB(st, action_b, stack);
+        return startPhaseB(store, st.depth, action_b, stack);
     return true; // phase B entry with a consistent store: feasible
 }
 
@@ -546,7 +585,8 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
         return it->second;
     }
 
-    std::vector<PathState> stack;
+    std::vector<PathState> &stack = _stack;
+    stack.clear();
     {
         PathState init;
         init.phase = 0;
@@ -572,16 +612,17 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
             ++paths;
             continue;
         }
-        if (_opts.useNodeCache && st.phase == 0 &&
-            _nodeCache->contains(st.node)) {
-            ++_stats.cacheHits;
-            ++paths;
-            continue;
-        }
-        if (st.phase == 0)
+        if (_opts.useNodeCache && st.phase == 0) {
+            if (_nodeCache->contains(st.node)) {
+                ++_stats.cacheHits;
+                ++paths;
+                continue;
+            }
             _queryVisited.insert(st.node);
+        }
 
-        const air::Method *m = _r.cg.node(st.node).method;
+        MethodSlot &slot = slotOf(st.node);
+        const air::Method *m = &slot.cfg->method();
         const Instruction &instr = m->instr(st.instr);
 
         if (!st.skipEffect) {
@@ -590,7 +631,7 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
                     ++paths;
                     continue;
                 }
-            } else if (!transfer(st, instr)) {
+            } else if (!transfer(st, slot, instr)) {
                 ++paths;
                 continue;
             }
@@ -608,19 +649,22 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
             }
         }
 
-        const analysis::Cfg &cfg = cfgOf(m);
-        std::vector<int> preds = cfg.instrPreds(st.instr);
-        if (preds.empty()) {
+        const analysis::Cfg &cfg = *slot.cfg;
+        const int at = st.instr;
+        const int num_preds = cfg.numInstrPreds(at);
+        if (num_preds == 0) {
             ++paths;
             continue;
         }
         const analysis::MethodConstants *facts =
-            _opts.useConstFacts ? &factsOf(m) : nullptr;
-        for (int q : preds) {
+            _opts.useConstFacts ? &factsOf(slot) : nullptr;
+        const int frame = st.frame;
+        const int depth = st.depth;
+        for (int k = 0; k < num_preds; ++k) {
+            const int q = cfg.instrPred(at, k);
             const Instruction &pred = m->instr(q);
             if (facts &&
-                (!facts->reachable(q) ||
-                 !facts->edgeFeasible(q, st.instr))) {
+                (!facts->reachable(q) || !facts->edgeFeasible(q, at))) {
                 // The constant fixpoint proved no execution flows
                 // along this edge: don't walk it.
                 ++_stats.constPruned;
@@ -628,21 +672,23 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
                 continue;
             }
             if (_opts.inter &&
-                (!_opts.inter->reachable(m, q) ||
-                 !_opts.inter->edgeFeasible(m, q, st.instr))) {
+                (!_opts.inter->reachableAt(slot.interIdx, q) ||
+                 !_opts.inter->edgeFeasibleAt(slot.interIdx, q, at))) {
                 // Same, but only the interprocedural facts (seeded
                 // parameters, callee returns) could prove it.
                 ++_stats.interPruned;
                 ++paths;
                 continue;
             }
-            PathState next = st;
+            // The last predecessor takes the state over; earlier ones
+            // copy it.
+            PathState next = k + 1 == num_preds ? std::move(st) : st;
             next.instr = q;
-            next.depth = st.depth + 1;
+            next.depth = depth + 1;
 
             if (pred.isConditionalBranch()) {
-                bool via_target = pred.target == st.instr;
-                bool via_fall = q + 1 == st.instr;
+                bool via_target = pred.target == at;
+                bool via_fall = q + 1 == at;
                 CondKind cond = pred.cond;
                 bool add = true;
                 if (via_target && via_fall) {
@@ -652,14 +698,12 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
                 }
                 if (add) {
                     Atom atom;
-                    atom.lhs = Operand::regOp(
-                        regKey(st.frame, pred.srcs[0]));
+                    atom.lhs = Operand::regOp(regKey(frame, pred.srcs[0]));
                     atom.cond = cond;
                     atom.rhs =
                         pred.op == Opcode::IfZ
                             ? Operand::constant(0)
-                            : Operand::regOp(
-                                  regKey(st.frame, pred.srcs[1]));
+                            : Operand::regOp(regKey(frame, pred.srcs[1]));
                     if (!next.store.add(atom)) {
                         ++paths;
                         continue;

@@ -233,10 +233,34 @@ class BackwardExecutor
         return frame * kFrameStride + reg;
     }
 
-    const analysis::Cfg &cfgOf(const air::Method *m);
+    /** What the walk needs about one method at every step, looked up
+     *  once per expanded state rather than once per predecessor edge.
+     *  Shared by every call-graph node of the method. */
+    struct MethodSlot {
+        std::unique_ptr<analysis::Cfg> cfg;
+        //! constant facts, built on first use (useConstFacts)
+        std::unique_ptr<analysis::MethodConstants> facts;
+        int interIdx{-1}; //!< InterConstants handle of the method
+    };
+
+    MethodSlot &slotOf(analysis::NodeId n);
 
     /** Lazily computed per-method constant facts (useConstFacts). */
-    const analysis::MethodConstants &factsOf(const air::Method *m);
+    const analysis::MethodConstants &factsOf(MethodSlot &slot);
+
+    /** Which canonical key of a field reference a memo entry holds. */
+    enum class KeyKind : uint8_t {
+        Instance, //!< PointsToResult::fieldKey(obj, field)
+        Static,   //!< PointsToResult::staticKey(field)
+        Declared, //!< "Class.field" as written at the access
+        Elems,    //!< the wildcard element key of array object `obj`
+    };
+
+    /** Memoized canonical keys. `field` is keyed by address: the
+     *  FieldRefs passed in (instruction operands, must-write facts)
+     *  outlive the executor. */
+    analysis::FieldKey keyOf(KeyKind kind, analysis::ObjId obj,
+                             const air::FieldRef *field);
 
     /** Keys of fields possibly written by a node (transitively); used
      *  to havoc calls beyond the descend limit. */
@@ -244,7 +268,8 @@ class BackwardExecutor
     mayWriteKeys(analysis::NodeId n);
 
     /** Apply instruction backward transfer (non-invoke); false=prune. */
-    bool transfer(PathState &st, const air::Instruction &instr);
+    bool transfer(PathState &st, MethodSlot &slot,
+                  const air::Instruction &instr);
 
     /** Handle an invoke backward: descend into callees or havoc. Pushes
      *  successor states; returns false when the state was fully handled
@@ -253,8 +278,9 @@ class BackwardExecutor
                       std::vector<PathState> &stack);
 
     /** Handle reaching instruction 0 of a method. Returns true when the
-     *  whole query is feasible. */
-    bool atEntry(PathState st, int action_a, int action_b,
+     *  whole query is feasible. Leaves `st` as it was: the caller
+     *  still explores its predecessors. */
+    bool atEntry(const PathState &st, int action_a, int action_b,
                  std::vector<PathState> &stack);
 
     /** Rename callee frame registers to the caller's argument registers
@@ -263,22 +289,48 @@ class BackwardExecutor
                    int callee_frame, const air::Instruction &call,
                    int caller_frame);
 
-    bool startPhaseB(const PathState &st, int action_b,
-                     std::vector<PathState> &stack);
+    bool startPhaseB(const ConstraintStore &store, int depth,
+                     int action_b, std::vector<PathState> &stack);
 
     bool resolveLoc(analysis::NodeId n, int reg,
-                    const air::FieldRef &field, race::MemLoc &out) const;
+                    const air::FieldRef &field, race::MemLoc &out);
 
     const analysis::PointsToResult &_r;
     ExecutorOptions _opts;
     ExecutorStats _stats;
 
-    std::unordered_map<const air::Method *,
-                       std::unique_ptr<analysis::Cfg>>
-        _cfgs;
-    std::unordered_map<const air::Method *,
-                       std::unique_ptr<analysis::MethodConstants>>
-        _constFacts;
+    std::unordered_map<const air::Method *, MethodSlot> _slots;
+    //! NodeId -> its method's slot (null until first visit)
+    std::vector<MethodSlot *> _slotOfNode;
+
+    struct KeyMemoKey {
+        const air::FieldRef *field;
+        analysis::ObjId obj;
+        KeyKind kind;
+        bool operator==(const KeyMemoKey &) const = default;
+    };
+    struct KeyMemoHash {
+        size_t
+        operator()(const KeyMemoKey &k) const
+        {
+            size_t h = std::hash<const void *>()(k.field);
+            h ^= (static_cast<size_t>(k.obj) << 2 |
+                  static_cast<size_t>(k.kind)) *
+                 0x9e3779b97f4a7c15ull;
+            return h;
+        }
+    };
+    std::unordered_map<KeyMemoKey, analysis::FieldKey, KeyMemoHash>
+        _keyMemo;
+    //! "android.os.Message.what", interned on first use
+    analysis::FieldKey _messageWhat;
+    //! scratch: the handled message's objects at an action entry
+    std::vector<int> _msgObjs;
+    //! scratch: the callees of the invoke being handled
+    std::vector<analysis::NodeId> _callees;
+    //! the query's state stack, kept to reuse its capacity
+    std::vector<PathState> _stack;
+
     std::unordered_map<analysis::NodeId,
                        std::vector<analysis::FieldKey>>
         _mayWrite;
@@ -287,7 +339,8 @@ class BackwardExecutor
     //! _ownedCache unless a shared cache was injected
     RefutedNodeCache *_nodeCache;
     std::unique_ptr<RefutedNodeCache> _ownedCache;
-    //! nodes visited by the current query's phase-A walk
+    //! nodes visited by the current query's phase-A walk (filled only
+    //! when options.useNodeCache is set: nothing else reads it)
     std::set<analysis::NodeId> _queryVisited;
     //! sound memoization of whole queries
     std::map<std::tuple<analysis::SiteId, int, int>, QueryVerdict>

@@ -72,8 +72,9 @@ ThreadPool::wait()
 void
 ThreadPool::workerLoop(int index)
 {
-    // Name this thread's trace track; names persist per thread, so the
-    // cost is one registration even across many trace sessions.
+    // Name this thread's trace track. Every pool thread registers once;
+    // the entry outlives the thread until a later thread reuses its
+    // track id, so the table stays as small as the peak live threads.
     trace::setThreadName("pool-worker-" + std::to_string(index));
     for (;;) {
         std::function<void()> task;

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <set>
 #include <vector>
 
 #include "json_escape.hh"
@@ -29,8 +30,9 @@ struct Event {
 struct Session {
     std::mutex mutex;
     std::vector<Event> events;
-    //! tid -> track name; process-lifetime so pool workers named
-    //! before start() keep their names across sessions
+    //! tid -> track name. A name outlives its thread, so pool workers
+    //! named before start() or joined before toJson() keep their
+    //! names; a recycled tid takes its new owner's name.
     std::map<int, std::string> threadNames;
     std::chrono::steady_clock::time_point epoch;
 };
@@ -42,14 +44,61 @@ session()
     return s;
 }
 
-/** Stable per-thread track id, assigned on first use. The main thread
- *  usually claims 0 but nothing relies on that. */
+/** Track ids of the live threads. An exiting thread hands its id
+ *  back and the next new thread takes the smallest free one, so ids
+ *  (and the name table keyed by them) stay bounded by the peak number
+ *  of live threads however many short-lived pools a process runs. */
+class TrackIds
+{
+  public:
+    int
+    acquire()
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        if (_free.empty())
+            return _next++;
+        int id = *_free.begin();
+        _free.erase(_free.begin());
+        return id;
+    }
+
+    void
+    release(int id)
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        _free.insert(id);
+    }
+
+  private:
+    std::mutex _mutex;
+    std::set<int> _free;
+    int _next{0};
+};
+
+TrackIds &
+trackIds()
+{
+    // Never destroyed: threads may still exit during static teardown.
+    static TrackIds *ids = new TrackIds;
+    return *ids;
+}
+
+/** Holds the calling thread's track id until the thread exits. */
+struct ThreadTrack {
+    int tid{trackIds().acquire()};
+    ThreadTrack() = default;
+    ThreadTrack(const ThreadTrack &) = delete;
+    ThreadTrack &operator=(const ThreadTrack &) = delete;
+    ~ThreadTrack() { trackIds().release(tid); }
+};
+
+/** The calling thread's track id, assigned on first use. The main
+ *  thread usually claims 0 but nothing relies on that. */
 int
 tidOf()
 {
-    static std::atomic<int> next{0};
-    thread_local int tid = next.fetch_add(1);
-    return tid;
+    thread_local ThreadTrack track;
+    return track.tid;
 }
 
 /** Append one event. Timestamps are taken under the session lock so
@@ -140,6 +189,14 @@ setThreadName(const std::string &name)
     int tid = tidOf();
     std::lock_guard<std::mutex> lock(s.mutex);
     s.threadNames[tid] = name;
+}
+
+size_t
+threadNameCount()
+{
+    Session &s = session();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    return s.threadNames.size();
 }
 
 std::string

@@ -7,8 +7,10 @@
  * One process-global session collects events from every thread:
  * duration spans (`B`/`E` pairs, RAII via `Span`), instant events
  * (`i`), and `thread_name` metadata so per-worker tracks render with
- * readable names. Threads get stable, monotonically assigned track
- * ids on first use.
+ * readable names. A thread gets a track id on first use and hands it
+ * back when it exits; the next new thread reuses the smallest free
+ * id, so ids and names stay bounded by the peak number of live
+ * threads in a long-lived process (`sierra serve`).
  *
  * Overhead contract: with no session running, every instrumentation
  * point costs exactly one relaxed atomic load and a branch
@@ -82,11 +84,16 @@ void instant(const char *cat, std::string name,
              std::string args = "");
 
 /**
- * Name the calling thread's track. Names are remembered per thread
- * for the whole process (cheap: one lock per call), so pool workers
- * created before start() still render with names.
+ * Name the calling thread's track (cheap: one lock per call). A name
+ * outlives its thread, so pool workers named before start(), or
+ * joined before toJson(), still render with names; it is replaced
+ * when a later thread reuses the track id and names itself.
  */
 void setThreadName(const std::string &name);
+
+/** Entries in the track-name table: at most the peak number of live
+ *  threads that ever traced or named themselves. */
+size_t threadNameCount();
 
 /** One-pair JSON object fragment: `{"key":"value"}` (escaped). */
 std::string arg(const std::string &key, const std::string &value);

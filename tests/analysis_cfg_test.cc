@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "air/parser.hh"
 #include "analysis/cfg.hh"
 #include "analysis/dominators.hh"
@@ -100,12 +102,12 @@ TEST(Cfg, InstrLevelEdges)
     ASSERT_EQ(s1.size(), 2u);
     EXPECT_EQ(s1[0], 2);
     EXPECT_EQ(s1[1], 3);
-    auto p3 = cfg.instrPreds(3);
-    ASSERT_EQ(p3.size(), 2u);
+    ASSERT_EQ(cfg.numInstrPreds(3), 2);
+    EXPECT_EQ((std::set<int>{cfg.instrPred(3, 0), cfg.instrPred(3, 1)}),
+              (std::set<int>{1, 2}));
 
-    auto p2 = cfg.instrPreds(2);
-    ASSERT_EQ(p2.size(), 1u);
-    EXPECT_EQ(p2[0], 1);
+    ASSERT_EQ(cfg.numInstrPreds(2), 1);
+    EXPECT_EQ(cfg.instrPred(2, 0), 1);
 }
 
 TEST(Cfg, UnreachableCodeHasNoDominator)

@@ -230,8 +230,8 @@ TEST(Ifds, BudgetExhaustionDiscardsAllFacts)
     // Sound degradation: every query answers "don't know".
     EXPECT_TRUE(inter.mustWrites(leaf).empty());
     EXPECT_FALSE(inter.returnConst(leaf).isConst());
-    EXPECT_TRUE(inter.reachable(leaf, 0));
-    EXPECT_TRUE(inter.edgeFeasible(leaf, 0, 1));
+    EXPECT_TRUE(inter.reachableAt(inter.indexOf(leaf), 0));
+    EXPECT_TRUE(inter.edgeFeasibleAt(inter.indexOf(leaf), 0, 1));
 }
 
 TEST(Ifds, UseAfterDestroyClientFindsPostedRead)

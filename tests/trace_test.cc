@@ -244,5 +244,38 @@ TEST(Trace, StopPreventsLaterRecording)
     EXPECT_EQ(trace::eventCount(), 0u);
 }
 
+TEST(Trace, ThreadNameTableStaysBoundedAcrossAnalyzeCalls)
+{
+    // Every analyze() at jobs > 1 runs fresh pools whose workers name
+    // their tracks. Exited workers hand their track ids back, so the
+    // name table is bounded by the peak number of live threads -- at
+    // jobs 4 at most 16: four task threads, each of which may run a
+    // nested refutation pool of three -- not by the number of calls.
+    constexpr int kJobs = 4;
+    const size_t before = trace::threadNameCount();
+    corpus::BuiltApp built = corpus::buildNamedApp("Astrid");
+    SierraDetector detector(*built.app);
+    SierraOptions options;
+    options.jobs = kJobs;
+    for (int i = 0; i < 50; ++i)
+        detector.analyze(options);
+    EXPECT_LE(trace::threadNameCount(),
+              std::max<size_t>(before, kJobs * kJobs));
+
+    // Recycled tracks still carry names in a trace taken after the
+    // pools joined.
+    SessionGuard guard;
+    std::set<double> carrying, named;
+    for (const JsonValue &e : traceAnalyze("Astrid", kJobs)) {
+        double tid = e.field("tid")->number;
+        if (e.str("ph") == "M")
+            named.insert(tid);
+        else
+            carrying.insert(tid);
+    }
+    EXPECT_GT(carrying.size(), 1u) << "the run should use pool workers";
+    EXPECT_EQ(carrying, named);
+}
+
 } // namespace
 } // namespace sierra
