@@ -89,7 +89,7 @@ HbBuilder::Impl::domOf(const air::Method *m)
 std::unique_ptr<Shbg>
 HbBuilder::Impl::build()
 {
-    SIERRA_TRACE_SPAN(span, "hb", "shbg.build", std::string());
+    SIERRA_TRACE_SPAN(span, "hb", "shbg.build", util::Json());
     auto g = std::make_unique<Shbg>(_r.actions.size());
 
     // Index the harness event sites by interned SiteId, and map actions

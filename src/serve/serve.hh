@@ -24,9 +24,11 @@
 #include <string>
 
 #include "incremental.hh"
-#include "protocol.hh"
+#include "util/json.hh"
 
 namespace sierra::serve {
+
+using Json = util::Json;
 
 /** Wire-protocol schema version (bump on breaking changes). */
 inline constexpr int kProtocolSchemaVersion = 1;

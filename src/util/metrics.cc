@@ -8,8 +8,6 @@
 #include <sys/resource.h>
 #endif
 
-#include "json_escape.hh"
-
 namespace sierra::util::metrics {
 
 double
@@ -107,37 +105,27 @@ Registry::clear()
     _histograms.clear();
 }
 
-std::string
+Json
 Registry::toJson() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    std::ostringstream os;
-    os << "{\"counters\": {";
-    bool first = true;
-    for (const auto &[name, value] : _counters) {
-        if (!first)
-            os << ", ";
-        first = false;
-        os << "\"" << jsonEscape(name) << "\": " << value;
-    }
-    os << "}, \"histograms\": {";
-    first = true;
-    char buf[64];
-    auto num = [&](double v) {
-        std::snprintf(buf, sizeof(buf), "%.9g", v);
-        return std::string(buf);
-    };
+    Json counters = Json::object();
+    for (const auto &[name, value] : _counters)
+        counters.set(name, Json::integer(value));
+    Json histograms = Json::object();
     for (const auto &[name, h] : _histograms) {
-        if (!first)
-            os << ", ";
-        first = false;
-        os << "\"" << jsonEscape(name) << "\": {\"count\": " << h.count
-           << ", \"sum\": " << num(h.sum) << ", \"min\": " << num(h.min)
-           << ", \"max\": " << num(h.max)
-           << ", \"mean\": " << num(h.mean()) << "}";
+        Json hist = Json::object();
+        hist.set("count", Json::integer(h.count));
+        hist.set("sum", Json::real(h.sum));
+        hist.set("min", Json::real(h.min));
+        hist.set("max", Json::real(h.max));
+        hist.set("mean", Json::real(h.mean()));
+        histograms.set(name, std::move(hist));
     }
-    os << "}}";
-    return os.str();
+    Json out = Json::object();
+    out.set("counters", std::move(counters));
+    out.set("histograms", std::move(histograms));
+    return out;
 }
 
 std::string

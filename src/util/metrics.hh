@@ -24,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "json.hh"
+
 namespace sierra::util::metrics {
 
 /** Seconds of CPU time consumed by the calling thread (not wall
@@ -85,7 +87,7 @@ class Registry
      * max, mean}}}` — the object embedded under `"metrics"` in the
      * CLI's `--json` report.
      */
-    std::string toJson() const;
+    Json toJson() const;
 
     /** Human-readable block for the text report (name-sorted). */
     std::string toText() const;

@@ -119,7 +119,7 @@ parallelFor(int jobs, int n, const std::function<void(int)> &fn)
         // One span per participating worker ("worker" category: the
         // number of these varies with the jobs count by design).
         SIERRA_TRACE_SPAN(span, "worker", "parallel_for.drain",
-                          std::string());
+                          Json());
         for (;;) {
             int i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n)

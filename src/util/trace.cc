@@ -1,14 +1,11 @@
 #include "trace.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
 #include <vector>
-
-#include "json_escape.hh"
 
 namespace sierra::util::trace {
 
@@ -24,7 +21,7 @@ struct Event {
     int64_t tsNs;     //!< nanoseconds since session start
     const char *cat;  //!< category (string literal, stored by pointer)
     std::string name;
-    std::string args; //!< complete JSON object, or empty
+    Json args;        //!< an object, or null for none
 };
 
 struct Session {
@@ -104,8 +101,7 @@ tidOf()
 /** Append one event. Timestamps are taken under the session lock so
  *  the epoch written by start() is properly synchronized. */
 void
-record(char phase, const char *cat, std::string name,
-       std::string args)
+record(char phase, const char *cat, std::string name, Json args)
 {
     Session &s = session();
     int tid = tidOf();
@@ -161,7 +157,7 @@ eventCount()
 }
 
 void
-beginSpan(const char *cat, std::string name, std::string args)
+beginSpan(const char *cat, std::string name, Json args)
 {
     if (!enabled())
         return;
@@ -171,11 +167,11 @@ beginSpan(const char *cat, std::string name, std::string args)
 void
 endSpan(const char *cat, std::string name)
 {
-    record('E', cat, std::move(name), "");
+    record('E', cat, std::move(name), Json());
 }
 
 void
-instant(const char *cat, std::string name, std::string args)
+instant(const char *cat, std::string name, Json args)
 {
     if (!enabled())
         return;
@@ -199,11 +195,12 @@ threadNameCount()
     return s.threadNames.size();
 }
 
-std::string
+Json
 arg(const std::string &key, const std::string &value)
 {
-    return "{\"" + jsonEscape(key) + "\":\"" + jsonEscape(value) +
-           "\"}";
+    Json out = Json::object();
+    out.set(key, Json::str(value));
+    return out;
 }
 
 std::string
@@ -212,47 +209,41 @@ toJson()
     Session &s = session();
     std::lock_guard<std::mutex> lock(s.mutex);
 
-    std::string out = "{\"traceEvents\":[";
-    bool first = true;
-    auto emit = [&](const std::string &event) {
-        if (!first)
-            out += ",\n";
-        else
-            out += "\n";
-        first = false;
-        out += event;
+    auto event = [](std::string phase, int tid) {
+        Json e = Json::object();
+        e.set("ph", Json::str(std::move(phase)));
+        e.set("pid", Json::integer(0));
+        e.set("tid", Json::integer(tid));
+        return e;
     };
-
+    Json events = Json::array();
     // Metadata first: name the tracks that actually carry events.
-    std::map<int, bool> seen;
+    std::set<int> seen;
     for (const Event &e : s.events)
-        seen[e.tid] = true;
+        seen.insert(e.tid);
     for (const auto &[tid, name] : s.threadNames) {
         if (!seen.count(tid))
             continue;
-        emit("{\"ph\":\"M\",\"pid\":0,\"tid\":" + std::to_string(tid) +
-             ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-             jsonEscape(name) + "\"}}");
+        Json meta = event("M", tid);
+        meta.set("name", Json::str("thread_name"));
+        meta.set("args", arg("name", name));
+        events.push(std::move(meta));
     }
-
-    char ts[64];
     for (const Event &e : s.events) {
-        std::snprintf(ts, sizeof(ts), "%.3f",
-                      static_cast<double>(e.tsNs) / 1e3);
-        std::string ev = "{\"ph\":\"";
-        ev += e.phase;
-        ev += "\",\"pid\":0,\"tid\":" + std::to_string(e.tid) +
-              ",\"ts\":" + ts + ",\"cat\":\"" + jsonEscape(e.cat) +
-              "\",\"name\":\"" + jsonEscape(e.name) + "\"";
+        Json ev = event(std::string(1, e.phase), e.tid);
+        ev.set("ts", Json::real(static_cast<double>(e.tsNs) / 1e3));
+        ev.set("cat", Json::str(e.cat));
+        ev.set("name", Json::str(e.name));
         if (e.phase == 'i')
-            ev += ",\"s\":\"t\"";
-        if (!e.args.empty())
-            ev += ",\"args\":" + e.args;
-        ev += "}";
-        emit(ev);
+            ev.set("s", Json::str("t"));
+        if (e.args.kind() != Json::Kind::Null)
+            ev.set("args", e.args);
+        events.push(std::move(ev));
     }
-    out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-    return out;
+    Json root = Json::object();
+    root.set("traceEvents", std::move(events));
+    root.set("displayTimeUnit", Json::str("ms"));
+    return root.dump() + "\n";
 }
 
 bool

@@ -14,7 +14,7 @@
  *
  * Overhead contract: with no session running, every instrumentation
  * point costs exactly one relaxed atomic load and a branch
- * (`enabled()`); argument strings are never built (the macros guard
+ * (`enabled()`); argument objects are never built (the macros guard
  * their evaluation). With a session running, events append to a
  * mutex-protected buffer — acceptable at stage/pair granularity, not
  * meant for per-instruction events. Compiling with
@@ -27,6 +27,8 @@
 
 #include <atomic>
 #include <string>
+
+#include "json.hh"
 
 namespace sierra::util::trace {
 
@@ -70,18 +72,16 @@ bool writeJson(const std::string &path);
 
 /**
  * Record a duration-begin event. `cat` must be a string literal (it
- * is stored by pointer); `name` and `args` are copied. `args`, when
- * non-empty, must be a complete JSON object, e.g. from arg().
+ * is stored by pointer); `name` and `args` are copied. `args` is an
+ * object, e.g. from arg(), or null for none.
  */
-void beginSpan(const char *cat, std::string name,
-               std::string args = "");
+void beginSpan(const char *cat, std::string name, Json args = {});
 
 /** Record the matching duration-end event. */
 void endSpan(const char *cat, std::string name);
 
 /** Record an instant event (scope: thread). */
-void instant(const char *cat, std::string name,
-             std::string args = "");
+void instant(const char *cat, std::string name, Json args = {});
 
 /**
  * Name the calling thread's track (cheap: one lock per call). A name
@@ -95,15 +95,15 @@ void setThreadName(const std::string &name);
  *  threads that ever traced or named themselves. */
 size_t threadNameCount();
 
-/** One-pair JSON object fragment: `{"key":"value"}` (escaped). */
-std::string arg(const std::string &key, const std::string &value);
+/** One-pair args object: `{"key": "value"}`. */
+Json arg(const std::string &key, const std::string &value);
 
 /** RAII duration span. Emits B at construction when a session is
  *  collecting, and the matching E at destruction. */
 class Span
 {
   public:
-    Span(const char *cat, std::string name, std::string args = "")
+    Span(const char *cat, std::string name, Json args = {})
     {
         if (enabled()) {
             _cat = cat;
@@ -130,14 +130,15 @@ class Span
 
 /*
  * Instrumentation macros. `args` is evaluated only when a session is
- * collecting, so building argument strings costs nothing when tracing
+ * collecting, so building argument objects costs nothing when tracing
  * is off. With SIERRA_TRACE_DISABLED the call sites vanish.
  */
 #ifndef SIERRA_TRACE_DISABLED
 #define SIERRA_TRACE_SPAN(var, cat, name, args)                        \
     ::sierra::util::trace::Span var(                                   \
         cat, name,                                                     \
-        ::sierra::util::trace::enabled() ? (args) : std::string())
+        ::sierra::util::trace::enabled() ? (args)                      \
+                                         : ::sierra::util::Json())
 #define SIERRA_TRACE_INSTANT(cat, name, args)                          \
     do {                                                               \
         if (::sierra::util::trace::enabled())                          \

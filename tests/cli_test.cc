@@ -187,6 +187,29 @@ TEST(Cli, AnalyzeJsonEscapesControlCharacters)
     EXPECT_EQ(root.str("app"), "Note\tPad");
 }
 
+TEST(Cli, AnalyzeJsonZeroRacesPrintsEmptyArray)
+{
+    // One activity whose only method is <init>: nothing can race.
+    TempFile file(".air");
+    std::ofstream(file.path()) << R"(
+app "quiet" {
+    package org.example.quiet
+    activity Main main
+}
+class Main extends android.app.Activity {
+    method <init>(): void regs=1 { @0: return-void }
+}
+)";
+    CliRun r = run({"analyze", file.path(), "--json"});
+    ASSERT_EQ(r.code, 0) << r.err;
+    EXPECT_NE(r.out.find("\n  \"races\": []\n}\n"), std::string::npos)
+        << r.out;
+    test::JsonValue root;
+    ASSERT_TRUE(test::JsonParser(r.out).parse(root)) << r.out;
+    ASSERT_NE(root.field("races"), nullptr);
+    EXPECT_TRUE(root.field("races")->array.empty());
+}
+
 TEST(Cli, AnalyzeJsonDeadlockSection)
 {
     TempFile file(".air");

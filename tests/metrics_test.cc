@@ -70,7 +70,7 @@ TEST(MetricsRegistry, SerializationsContainEveryMetric)
     Registry r;
     r.add("pta.nodes", 3);
     r.observe("stage.y.seconds", 0.25);
-    std::string json = r.toJson();
+    std::string json = r.toJson().dump();
     EXPECT_NE(json.find("\"pta.nodes\""), std::string::npos);
     EXPECT_NE(json.find("\"stage.y.seconds\""), std::string::npos);
     EXPECT_NE(json.find("\"counters\""), std::string::npos);

@@ -3,16 +3,31 @@
  * The daemon's wire behavior (docs/DAEMON_PROTOCOL.md): canonical JSON
  * round-trips, every documented error code, pre-cancellation, the
  * serveLoop lifecycle over plain streams, and warm analyze hits via
- * the session-owned store.
+ * the session-owned store. The Protocol group also holds the
+ * util::Json property tests over seeded random trees, checked against
+ * the independent parser in strict_json.hh.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <random>
 #include <sstream>
 
 #include "corpus/named_apps.hh"
 #include "framework/app_text.hh"
 #include "serve/serve.hh"
+#include "sierra/detector.hh"
+#include "strict_json.hh"
+
+#ifndef SIERRA_GOLDEN_DIR
+#define SIERRA_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace sierra::serve {
 namespace {
@@ -84,6 +99,258 @@ TEST(Protocol, ParseRejectsMalformedInput)
     EXPECT_FALSE(Json::parse("{\"x\":1e3}", out, error));
 }
 
+/** A seeded random tree: every kind, `INT64_MIN`/`INT64_MAX`, and
+ *  strings drawn from all bytes 0x00-0x7f. Reals only when
+ *  `with_reals` (parse() is integer-only). */
+Json
+randomTree(std::mt19937_64 &rng, int depth, bool with_reals)
+{
+    auto pick = [&](int n) { return static_cast<int>(rng() % n); };
+    auto text = [&] {
+        std::string s;
+        for (int i = pick(12); i > 0; --i)
+            s += static_cast<char>(pick(0x80));
+        return s;
+    };
+    switch (pick(depth > 0 ? 8 : 6)) {
+      case 0: return Json::null();
+      case 1: return Json::boolean(pick(2) == 1);
+      case 2: {
+        const int64_t edges[] = {INT64_MIN, INT64_MAX, 0, -1};
+        return Json::integer(pick(3) == 0
+                                 ? edges[pick(4)]
+                                 : static_cast<int64_t>(rng()));
+      }
+      case 3:
+        if (with_reals)
+            return Json::real(std::ldexp(
+                static_cast<double>(rng() >> 11) - (1LL << 52),
+                pick(200) - 100));
+        return Json::integer(pick(1000));
+      case 4:
+      case 5: return Json::str(text());
+      case 6: {
+        Json a = Json::array();
+        for (int i = pick(5); i > 0; --i)
+            a.push(randomTree(rng, depth - 1, with_reals));
+        return a;
+      }
+      default: {
+        Json o = Json::object();
+        for (int i = pick(5); i > 0; --i)
+            o.set(text(), randomTree(rng, depth - 1, with_reals));
+        return o;
+      }
+    }
+}
+
+/** Structural equality of two util::Json trees. */
+bool
+sameTree(const Json &a, const Json &b)
+{
+    if (a.kind() != b.kind())
+        return false;
+    switch (a.kind()) {
+      case Json::Kind::Null: return true;
+      case Json::Kind::Bool: return a.asBool() == b.asBool();
+      case Json::Kind::Int: return a.asInt() == b.asInt();
+      case Json::Kind::Real: return a.asReal() == b.asReal();
+      case Json::Kind::Str: return a.asStr() == b.asStr();
+      case Json::Kind::Array:
+        if (a.items().size() != b.items().size())
+            return false;
+        for (size_t i = 0; i < a.items().size(); ++i) {
+            if (!sameTree(a.items()[i], b.items()[i]))
+                return false;
+        }
+        return true;
+      case Json::Kind::Object:
+        if (a.fields().size() != b.fields().size())
+            return false;
+        for (size_t i = 0; i < a.fields().size(); ++i) {
+            if (a.fields()[i].first != b.fields()[i].first ||
+                !sameTree(a.fields()[i].second, b.fields()[i].second))
+                return false;
+        }
+        return true;
+    }
+    return false;
+}
+
+/** A util::Json tree equals what the independent parser read. */
+bool
+sameAsStrict(const Json &a, const test::JsonValue &b)
+{
+    using test::JsonValue;
+    switch (a.kind()) {
+      case Json::Kind::Null: return b.kind == JsonValue::Null;
+      case Json::Kind::Bool:
+        return b.kind == JsonValue::Bool && b.boolean == a.asBool();
+      case Json::Kind::Int:
+        return b.kind == JsonValue::Number &&
+               b.number == static_cast<double>(a.asInt());
+      case Json::Kind::Real:
+        return b.kind == JsonValue::Number && b.number == a.asReal();
+      case Json::Kind::Str:
+        return b.kind == JsonValue::String && b.string == a.asStr();
+      case Json::Kind::Array:
+        if (b.kind != JsonValue::Array ||
+            b.array.size() != a.items().size())
+            return false;
+        for (size_t i = 0; i < a.items().size(); ++i) {
+            if (!sameAsStrict(a.items()[i], b.array[i]))
+                return false;
+        }
+        return true;
+      case Json::Kind::Object:
+        if (b.kind != JsonValue::Object ||
+            b.object.size() != a.fields().size())
+            return false;
+        for (const auto &[key, value] : a.fields()) {
+            const JsonValue *other = b.field(key);
+            if (!other || !sameAsStrict(value, *other))
+                return false;
+        }
+        return true;
+    }
+    return false;
+}
+
+TEST(Protocol, RandomTreesRoundTripThroughDumpAndParse)
+{
+    std::mt19937_64 rng(20260417);
+    for (int i = 0; i < 500; ++i) {
+        Json tree = randomTree(rng, 4, false);
+        Json back = parseOk(tree.dump());
+        EXPECT_TRUE(sameTree(tree, back)) << tree.dump();
+    }
+    // Every byte 0x00-0x7f in one string, as a value and as a key.
+    std::string all;
+    for (int c = 0; c < 0x80; ++c)
+        all += static_cast<char>(c);
+    Json obj = Json::object();
+    obj.set(all, Json::str(all));
+    EXPECT_TRUE(sameTree(obj, parseOk(obj.dump())));
+}
+
+TEST(Protocol, PrettyOutputParsesStrictlyToTheSameTree)
+{
+    std::mt19937_64 rng(7);
+    for (int i = 0; i < 500; ++i) {
+        Json tree = randomTree(rng, 4, true);
+        test::JsonValue parsed;
+        const std::string text = tree.pretty();
+        ASSERT_TRUE(test::JsonParser(text).parse(parsed)) << text;
+        EXPECT_TRUE(sameAsStrict(tree, parsed)) << text;
+    }
+}
+
+TEST(Protocol, RealsPrintInShortestFormThatReadsBackExactly)
+{
+    std::mt19937_64 rng(11);
+    for (int i = 0; i < 20000; ++i) {
+        double v;
+        uint64_t bits = rng();
+        std::memcpy(&v, &bits, sizeof(v));
+        if (!std::isfinite(v))
+            continue;
+        const std::string text = Json::real(v).dump();
+        EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
+    }
+    EXPECT_EQ(Json::real(0.1).dump(), "0.1");
+    EXPECT_EQ(Json::real(40.0).dump(), "40");
+    EXPECT_EQ(Json::real(1e300 * 1e300).dump(), "null");
+}
+
+/** What an ostream at default precision prints for `v`. */
+std::string
+ostreamText(double v)
+{
+    std::ostringstream os;
+    os << v;
+    return os.str();
+}
+
+TEST(Protocol, SixDigitRealsMatchOstreamOnOrderedPct)
+{
+    // orderedPct is a percentage: any value in [0, 100].
+    std::mt19937_64 rng(3);
+    std::uniform_real_distribution<double> pct(0.0, 100.0);
+    for (int i = 0; i < 20000; ++i) {
+        double v = pct(rng);
+        EXPECT_EQ(Json::real(util::roundSignificant(v, 6)).dump(),
+                  ostreamText(v));
+    }
+    // The values the three JSON goldens pin, at full precision.
+    for (const std::string name : {"FBReader", "Astrid", "XBMC remote"}) {
+        corpus::BuiltApp built = corpus::buildNamedApp(name);
+        const double v =
+            SierraDetector(*built.app).analyze(SierraOptions{}).orderedPct;
+        const std::string text =
+            Json::real(util::roundSignificant(v, 6)).dump();
+        EXPECT_EQ(text, ostreamText(v)) << name;
+        std::string file = name;
+        std::replace(file.begin(), file.end(), ' ', '_');
+        std::ifstream in(std::string(SIERRA_GOLDEN_DIR) + "/" + file +
+                         ".report.json");
+        std::stringstream golden;
+        golden << in.rdbuf();
+        EXPECT_NE(golden.str().find("\"orderedPct\": " + text + ",\n"),
+                  std::string::npos)
+            << name;
+    }
+}
+
+TEST(Protocol, PrettyLayoutExpandsRootAndItsArraysOnly)
+{
+    Json inner = Json::array();
+    inner.push(Json::integer(1));
+    inner.push(Json::object());
+    Json item = Json::object();
+    item.set("k", Json::str("v"));
+    item.set("list", std::move(inner));
+    Json list = Json::array();
+    list.push(item);
+    list.push(Json::integer(2));
+    Json root = Json::object();
+    root.set("n", Json::integer(1));
+    root.set("obj", item);
+    root.set("list", std::move(list));
+    root.set("empty", Json::array());
+    EXPECT_EQ(root.pretty(), "{\n"
+                             "  \"n\": 1,\n"
+                             "  \"obj\": {\"k\": \"v\", \"list\": [1, {}]},\n"
+                             "  \"list\": [\n"
+                             "    {\"k\": \"v\", \"list\": [1, {}]},\n"
+                             "    2\n"
+                             "  ],\n"
+                             "  \"empty\": []\n"
+                             "}");
+    EXPECT_EQ(Json::array().pretty(), "[]");
+}
+
+TEST(Protocol, ParseBoundsIntegersAndNesting)
+{
+    Json out;
+    std::string error;
+    EXPECT_TRUE(Json::parse("[-9223372036854775808,9223372036854775807]",
+                            out, error));
+    EXPECT_EQ(out.items()[0].asInt(), INT64_MIN);
+    EXPECT_EQ(out.items()[1].asInt(), INT64_MAX);
+    EXPECT_FALSE(Json::parse("9223372036854775808", out, error));
+    EXPECT_EQ(error, "integer out of range at offset 0");
+    EXPECT_FALSE(Json::parse("[-9223372036854775809]", out, error));
+
+    const int limit = Json::kMaxDepth;
+    EXPECT_TRUE(Json::parse(std::string(limit, '[') +
+                                std::string(limit, ']'),
+                            out, error));
+    EXPECT_FALSE(Json::parse(std::string(limit + 1, '[') +
+                                 std::string(limit + 1, ']'),
+                             out, error));
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos);
+}
+
 TEST(Serve, PingHelloAndShutdown)
 {
     ServeSession session(ServeOptions{});
@@ -134,6 +401,32 @@ TEST(Serve, ErrorCodes)
               std::string::npos);
 
     EXPECT_EQ(counterValue(session, "serve.errors"), 7);
+}
+
+/** A malformed line is answered with `bad-json`, and the session
+ *  goes on to answer the next request. */
+void
+expectBadJsonThenPing(const std::string &line)
+{
+    ServeSession session(ServeOptions{});
+    Json r = parseOk(session.handleLine(line));
+    EXPECT_EQ(r.field("id")->asInt(), 0);
+    EXPECT_EQ(r.field("error")->field("code")->asStr(), "bad-json");
+    EXPECT_NE(r.field("error")->field("message")->asStr().find("offset"),
+              std::string::npos);
+    EXPECT_EQ(session.handleLine(R"({"id":2,"kind":"ping"})"),
+              R"({"id":2,"result":{"pong":true}})");
+}
+
+TEST(Serve, IntegerOutsideInt64IsBadJson)
+{
+    expectBadJsonThenPing(R"({"id":99999999999999999999,"kind":"ping"})");
+}
+
+TEST(Serve, DeepNestingIsBadJson)
+{
+    expectBadJsonThenPing(std::string(200000, '[') +
+                          std::string(200000, ']'));
 }
 
 TEST(Serve, PreCancellation)

@@ -113,7 +113,14 @@ class JsonParser
                   case 'u': {
                     if (_pos + 4 > _text.size())
                         return false;
-                    out += '?'; // decoded value irrelevant to tests
+                    // ASCII code points decode exactly; tests need
+                    // no others.
+                    std::string hex = _text.substr(_pos, 4);
+                    if (hex.find_first_not_of("0123456789abcdefABCDEF") !=
+                        std::string::npos)
+                        return false;
+                    unsigned long code = std::stoul(hex, nullptr, 16);
+                    out += code < 0x80 ? static_cast<char>(code) : '?';
                     _pos += 4;
                     break;
                   }

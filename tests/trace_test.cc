@@ -69,7 +69,7 @@ TEST(Trace, DisabledByDefaultCollectsNothing)
     trace::clear();
     ASSERT_FALSE(trace::enabled());
     trace::instant("test", "ignored");
-    { SIERRA_TRACE_SPAN(span, "test", "ignored", std::string()); }
+    { SIERRA_TRACE_SPAN(span, "test", "ignored", util::Json()); }
     EXPECT_EQ(trace::eventCount(), 0u);
 }
 
@@ -80,7 +80,7 @@ TEST(Trace, SpanMacroSkipsArgEvaluationWhenDisabled)
     int evaluations = 0;
     auto expensive = [&]() {
         ++evaluations;
-        return std::string("{}");
+        return util::Json::object();
     };
     {
         SIERRA_TRACE_SPAN(span, "test", "lazy", expensive());

@@ -16,7 +16,7 @@
 #include "framework/app_text.hh"
 #include "serve/serve.hh"
 #include "sierra/detector.hh"
-#include "util/json_escape.hh"
+#include "util/json.hh"
 #include "util/metrics.hh"
 #include "util/trace.hh"
 
@@ -24,7 +24,7 @@ namespace sierra::cli {
 
 namespace {
 
-using util::jsonEscape;
+using util::Json;
 
 const char *kUsage = R"(usage: sierra <command> [options]
 
@@ -250,87 +250,89 @@ buildCorpusApp(const std::string &name, bool &ok, std::ostream &err)
     return {};
 }
 
-void
-printReportJson(const AppReport &report, std::ostream &out,
-                const util::metrics::Registry *metrics = nullptr)
+/** A real as an ostream at its default precision (6 significant
+ *  digits) prints it: the report's reals carry no more. */
+Json
+real6(double v)
 {
-    out << "{\n";
+    return Json::real(util::roundSignificant(v, 6));
+}
+
+Json
+reportJson(const AppReport &report,
+           const util::metrics::Registry *metrics)
+{
+    Json root = Json::object();
     // Bumped whenever a field is added, renamed or retyped, so
     // downstream consumers can gate on the shape they understand.
     // v3: per-race severity + provenance, harmful/guarded tallies,
     // timesMs gains the nullflow stage.
-    out << "  \"schemaVersion\": 3,\n";
-    out << "  \"app\": \"" << jsonEscape(report.app) << "\",\n";
-    out << "  \"harnesses\": " << report.harnesses << ",\n";
-    out << "  \"actions\": " << report.actions << ",\n";
-    out << "  \"hbEdges\": " << report.hbEdges << ",\n";
-    out << "  \"orderedPct\": " << report.orderedPct << ",\n";
-    out << "  \"racyPairs\": " << report.racyPairs << ",\n";
-    out << "  \"afterRefutation\": " << report.afterRefutation << ",\n";
-    out << "  \"locksetRefuted\": " << report.locksetRefuted << ",\n";
-    out << "  \"enablementRefuted\": " << report.enablementRefuted
-        << ",\n";
-    out << "  \"harmfulRaces\": " << report.harmfulRaces << ",\n";
-    out << "  \"guardedRaces\": " << report.guardedRaces << ",\n";
-    out << "  \"accessesDropped\": " << report.accessesDropped << ",\n";
+    root.set("schemaVersion", Json::integer(3));
+    root.set("app", Json::str(report.app));
+    root.set("harnesses", Json::integer(report.harnesses));
+    root.set("actions", Json::integer(report.actions));
+    root.set("hbEdges", Json::integer(report.hbEdges));
+    root.set("orderedPct", real6(report.orderedPct));
+    root.set("racyPairs", Json::integer(report.racyPairs));
+    root.set("afterRefutation", Json::integer(report.afterRefutation));
+    root.set("locksetRefuted", Json::integer(report.locksetRefuted));
+    root.set("enablementRefuted",
+             Json::integer(report.enablementRefuted));
+    root.set("harmfulRaces", Json::integer(report.harmfulRaces));
+    root.set("guardedRaces", Json::integer(report.guardedRaces));
+    root.set("accessesDropped", Json::integer(report.accessesDropped));
     // Generated from the stage table like the text `time:` line, but
     // every key is always present (report_times_test pins this).
-    out << "  \"timesMs\": {";
-    for (const Stage &stage : kStages) {
-        out << "\"" << stage.jsonKey
-            << "\": " << report.times[stage.id] * 1e3 << ", ";
-    }
-    out << "\"totalCpu\": " << report.times.totalCpu * 1e3
-        << ", \"total\": " << report.times.total * 1e3 << "},\n";
+    Json times = Json::object();
+    for (const Stage &stage : kStages)
+        times.set(stage.jsonKey, real6(report.times[stage.id] * 1e3));
+    times.set("totalCpu", real6(report.times.totalCpu * 1e3));
+    times.set("total", real6(report.times.total * 1e3));
+    root.set("timesMs", std::move(times));
     if (metrics)
-        out << "  \"metrics\": " << metrics->toJson() << ",\n";
-    out << "  \"useAfterDestroy\": [";
-    for (size_t i = 0; i < report.useAfterDestroy.size(); ++i) {
-        const auto &f = report.useAfterDestroy[i];
-        out << (i ? ",\n    " : "\n    ")
-            << "{\"field\": \"" << jsonEscape(f.fieldKey)
-            << "\", \"teardownAction\": \""
-            << jsonEscape(f.teardownAction) << "\", \"useAction\": \""
-            << jsonEscape(f.useAction)
-            << "\", \"writeMethod\": \"" << jsonEscape(f.writeMethod)
-            << "\", \"readMethod\": \"" << jsonEscape(f.readMethod)
-            << "\"}";
+        root.set("metrics", metrics->toJson());
+    Json uads = Json::array();
+    for (const auto &f : report.useAfterDestroy) {
+        Json uad = Json::object();
+        uad.set("field", Json::str(f.fieldKey));
+        uad.set("teardownAction", Json::str(f.teardownAction));
+        uad.set("useAction", Json::str(f.useAction));
+        uad.set("writeMethod", Json::str(f.writeMethod));
+        uad.set("readMethod", Json::str(f.readMethod));
+        uads.push(std::move(uad));
     }
-    out << (report.useAfterDestroy.empty() ? "],\n" : "\n  ],\n");
-    out << "  \"deadlocks\": [";
-    for (size_t i = 0; i < report.deadlocks.size(); ++i) {
-        const auto &f = report.deadlocks[i];
-        out << (i ? ",\n    " : "\n    ") << "{\"edges\": [";
-        for (size_t j = 0; j < f.edges.size(); ++j) {
-            const auto &e = f.edges[j];
-            out << (j ? ", " : "") << "{\"heldLock\": \""
-                << jsonEscape(e.heldLock) << "\", \"acquiredLock\": \""
-                << jsonEscape(e.acquiredLock) << "\", \"method\": \""
-                << jsonEscape(e.method)
-                << "\", \"instrIdx\": " << e.instrIdx
-                << ", \"action\": \"" << jsonEscape(e.actionLabel)
-                << "\"}";
+    root.set("useAfterDestroy", std::move(uads));
+    Json deadlocks = Json::array();
+    for (const auto &f : report.deadlocks) {
+        Json edges = Json::array();
+        for (const auto &e : f.edges) {
+            Json edge = Json::object();
+            edge.set("heldLock", Json::str(e.heldLock));
+            edge.set("acquiredLock", Json::str(e.acquiredLock));
+            edge.set("method", Json::str(e.method));
+            edge.set("instrIdx", Json::integer(e.instrIdx));
+            edge.set("action", Json::str(e.actionLabel));
+            edges.push(std::move(edge));
         }
-        out << "]}";
+        Json deadlock = Json::object();
+        deadlock.set("edges", std::move(edges));
+        deadlocks.push(std::move(deadlock));
     }
-    out << (report.deadlocks.empty() ? "],\n" : "\n  ],\n");
-    out << "  \"races\": [\n";
-    bool first = true;
+    root.set("deadlocks", std::move(deadlocks));
+    Json races = Json::array();
     for (const auto &race : report.races) {
-        if (!first)
-            out << ",\n";
-        first = false;
-        out << "    {\"location\": \"" << jsonEscape(race.fieldKey)
-            << "\", \"priority\": " << race.priority
-            << ", \"refuted\": " << (race.refuted ? "true" : "false")
-            << ", \"severity\": \""
-            << analysis::nullVerdictName(race.severity)
-            << "\", \"provenance\": \""
-            << jsonEscape(race.severityChain)
-            << "\", \"description\": \""
-            << jsonEscape(race.description) << "\"}";
+        Json r = Json::object();
+        r.set("location", Json::str(race.fieldKey));
+        r.set("priority", Json::integer(race.priority));
+        r.set("refuted", Json::boolean(race.refuted));
+        r.set("severity",
+              Json::str(analysis::nullVerdictName(race.severity)));
+        r.set("provenance", Json::str(race.severityChain));
+        r.set("description", Json::str(race.description));
+        races.push(std::move(r));
     }
-    out << "\n  ]\n}\n";
+    root.set("races", std::move(races));
+    return root;
 }
 
 int
@@ -389,8 +391,9 @@ cmdAnalyze(const ParsedFlags &flags, std::ostream &out,
     }
 
     if (flags.has("--json")) {
-        printReportJson(report, out,
-                        want_metrics ? &registry : nullptr);
+        out << reportJson(report, want_metrics ? &registry : nullptr)
+                   .pretty()
+            << "\n";
         return status;
     }
     out << formatReport(report, flags.getInt("--max-races", 50));
@@ -504,20 +507,19 @@ cmdLint(const ParsedFlags &flags, std::ostream &out, std::ostream &err)
     if (flags.has("--json")) {
         // Same findings and exit codes as the text form, as a JSON
         // array (one object per finding, "[]" when clean).
-        int shown = 0;
-        out << "[";
+        Json found = Json::array();
         for (const air::VerifyIssue &issue : issues) {
             if (errors_only && issue.severity != air::Severity::Error)
                 continue;
-            out << (shown ? ",\n " : "\n ") << "{\"severity\": \""
-                << air::severityName(issue.severity)
-                << "\", \"where\": \"" << jsonEscape(issue.where)
-                << "\", \"message\": \"" << jsonEscape(issue.message)
-                << "\"}";
-            ++shown;
+            Json item = Json::object();
+            item.set("severity",
+                     Json::str(air::severityName(issue.severity)));
+            item.set("where", Json::str(issue.where));
+            item.set("message", Json::str(issue.message));
+            found.push(std::move(item));
         }
-        out << (shown ? "\n]\n" : "]\n");
-        return shown == 0 ? 0 : 1;
+        out << found.pretty() << "\n";
+        return found.items().empty() ? 0 : 1;
     }
     int shown = 0;
     for (const air::VerifyIssue &issue : issues) {
