@@ -956,7 +956,7 @@ InterConstants::solveCountOf(const air::Method *m) const
 }
 
 // ---------------------------------------------------------------------
-// Summary export (consumed by analysis/store and docs/CACHING.md)
+// Summary export (consumed by the store's dependency index)
 // ---------------------------------------------------------------------
 
 std::vector<InterConstants::ExportedSummary>
@@ -967,10 +967,6 @@ InterConstants::exportSummaries() const
     for (const MethodInfo &mi : _methods) {
         ExportedSummary s;
         s.method = mi.method->qualifiedName();
-        s.open = mi.open;
-        s.params = mi.params;
-        s.ret = mi.ret;
-        s.mustWrites = mi.mustWrites;
         std::set<std::string> callees;
         for (const auto &[instr, at] : mi.calleesAt) {
             for (int callee : at) {
@@ -985,105 +981,6 @@ InterConstants::exportSummaries() const
               [](const ExportedSummary &a, const ExportedSummary &b) {
                   return a.method < b.method;
               });
-    return out;
-}
-
-namespace {
-
-char
-stateChar(ConstVal::State s)
-{
-    switch (s) {
-      case ConstVal::State::Bottom: return 'B';
-      case ConstVal::State::Const: return 'C';
-      case ConstVal::State::Top: return 'T';
-    }
-    return 'T';
-}
-
-bool
-parseStateChar(char c, ConstVal::State &out)
-{
-    switch (c) {
-      case 'B': out = ConstVal::State::Bottom; return true;
-      case 'C': out = ConstVal::State::Const; return true;
-      case 'T': out = ConstVal::State::Top; return true;
-      default: return false;
-    }
-}
-
-} // namespace
-
-std::string
-serializeSummaries(const std::vector<InterConstants::ExportedSummary> &s)
-{
-    std::ostringstream os;
-    for (const auto &sum : s) {
-        os << "m " << sum.method << " " << (sum.open ? 1 : 0) << " "
-           << stateChar(sum.ret.state) << " " << sum.ret.value << "\n";
-        for (size_t i = 0; i < sum.params.size(); ++i) {
-            os << "p " << i << " " << stateChar(sum.params[i].state)
-               << " " << sum.params[i].value << "\n";
-        }
-        for (const auto &w : sum.mustWrites) {
-            os << "w " << w.field.className << " " << w.field.fieldName
-               << " " << (w.isStatic ? 1 : 0) << " "
-               << (w.exclusive ? 1 : 0) << " " << w.value << "\n";
-        }
-        for (const std::string &callee : sum.callees)
-            os << "c " << callee << "\n";
-    }
-    return os.str();
-}
-
-std::vector<InterConstants::ExportedSummary>
-parseSummaries(const std::string &blob)
-{
-    std::vector<InterConstants::ExportedSummary> out;
-    std::istringstream in(blob);
-    std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        if (!(ls >> tag))
-            continue;
-        if (tag == "m") {
-            InterConstants::ExportedSummary s;
-            int open;
-            char st;
-            if (!(ls >> s.method >> open >> st >> s.ret.value) ||
-                !parseStateChar(st, s.ret.state))
-                continue;
-            s.open = open != 0;
-            out.push_back(std::move(s));
-        } else if (out.empty()) {
-            continue; // facts before the first method row: malformed
-        } else if (tag == "p") {
-            size_t idx;
-            char st;
-            ConstVal v;
-            if (!(ls >> idx >> st >> v.value) ||
-                !parseStateChar(st, v.state))
-                continue;
-            auto &params = out.back().params;
-            if (params.size() <= idx)
-                params.resize(idx + 1);
-            params[idx] = v;
-        } else if (tag == "w") {
-            InterConstants::MustWrite w;
-            int is_static, exclusive;
-            if (!(ls >> w.field.className >> w.field.fieldName >>
-                  is_static >> exclusive >> w.value))
-                continue;
-            w.isStatic = is_static != 0;
-            w.exclusive = exclusive != 0;
-            out.back().mustWrites.push_back(std::move(w));
-        } else if (tag == "c") {
-            std::string callee;
-            if (ls >> callee)
-                out.back().callees.push_back(std::move(callee));
-        }
-    }
     return out;
 }
 

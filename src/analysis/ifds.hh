@@ -134,24 +134,19 @@ class InterConstants
     const std::vector<MustWrite> &mustWrites(const air::Method *m) const;
 
     /**
-     * One method's converged summary in exportable form: the facts a
-     * later run could reuse, plus the callee list the summary was
-     * composed from. The callee lists are what the store layer's
-     * reverse-dependency index (analysis/store DepIndex) is built
-     * from -- a callee edit dirties every transitive caller exactly
+     * One method's edges in the summary graph: the callees whose
+     * summaries its own summary was composed from. The store layer's
+     * reverse-dependency index (analysis/store DepIndex) is built from
+     * these -- a callee edit dirties every transitive caller exactly
      * because callers embed callee facts (params join, returnConst,
      * must-write composition).
      */
     struct ExportedSummary {
         std::string method; //!< qualified name
-        bool open{false};   //!< framework-invoked (params pinned Top)
-        std::vector<ConstVal> params; //!< per formal register
-        ConstVal ret;
-        std::vector<MustWrite> mustWrites;
         std::vector<std::string> callees; //!< sorted unique, with bodies
     };
 
-    /** Every method's summary, sorted by qualified name
+    /** Every method's summary edges, sorted by qualified name
      *  (deterministic across processes and jobs counts). */
     std::vector<ExportedSummary> exportSummaries() const;
 
@@ -181,15 +176,6 @@ class InterConstants
     /** Callees whose parameter summaries the current solve widened. */
     std::set<int> _paramsDirty;
 };
-
-/** Deterministic text blob for a summary export (byte-stable; the
- *  store layer persists it under the per-method artifact keys). */
-std::string
-serializeSummaries(const std::vector<InterConstants::ExportedSummary> &s);
-
-/** Parse a `serializeSummaries` blob (malformed rows dropped). */
-std::vector<InterConstants::ExportedSummary>
-parseSummaries(const std::string &blob);
 
 /** One use-after-destroy finding: a field nulled in a teardown
  *  callback that a posted task can still read afterward. */

@@ -9,8 +9,6 @@
 #include "air/klass.hh"
 #include "air/method.hh"
 #include "air/printer.hh"
-#include "analysis/cfg.hh"
-#include "analysis/dataflow.hh"
 #include "framework/app.hh"
 #include "framework/app_text.hh"
 #include "framework/known_api.hh"
@@ -33,11 +31,14 @@ fnv64(std::string_view bytes, uint64_t seed)
 uint64_t
 mixHash(uint64_t acc, uint64_t value)
 {
-    // Order-dependent: hash the value's bytes into the accumulator.
-    char buf[8];
-    for (int i = 0; i < 8; ++i)
-        buf[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-    return fnv64(std::string_view(buf, 8), acc);
+    // Order-dependent and a bijection in `value` for a fixed `acc`
+    // (odd multiply, then the splitmix64 finalizer): one word per
+    // round instead of eight FNV byte steps, since method hashing
+    // mixes about a dozen words per instruction on every submission.
+    uint64_t z = acc ^ (value * 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
 }
 
 std::string
@@ -50,6 +51,37 @@ hashHex(uint64_t value)
         value >>= 4;
     }
     return out;
+}
+
+std::optional<uint64_t>
+parseHashHex(std::string_view hex)
+{
+    if (hex.size() != 16)
+        return std::nullopt;
+    uint64_t value = 0;
+    for (char c : hex) {
+        int digit;
+        if (c >= '0' && c <= '9')
+            digit = c - '0';
+        else if (c >= 'a' && c <= 'f')
+            digit = c - 'a' + 10;
+        else
+            return std::nullopt;
+        value = (value << 4) | static_cast<uint64_t>(digit);
+    }
+    return value;
+}
+
+bool
+nextLine(std::string_view &rest, std::string_view &line)
+{
+    if (rest.empty())
+        return false;
+    const size_t nl = rest.find('\n');
+    line = rest.substr(0, nl);
+    rest.remove_prefix(nl == std::string_view::npos ? rest.size()
+                                                    : nl + 1);
+    return true;
 }
 
 uint64_t
@@ -177,32 +209,15 @@ std::map<std::string, uint64_t>
 parseMethodIndex(const std::string &blob)
 {
     std::map<std::string, uint64_t> out;
-    std::istringstream in(blob);
-    std::string line;
-    while (std::getline(in, line)) {
-        size_t tab = line.find('\t');
-        if (tab == std::string::npos)
+    std::string_view rest(blob), line;
+    while (nextLine(rest, line)) {
+        const size_t tab = line.find('\t');
+        if (tab == 0 || tab == std::string_view::npos)
             continue;
-        std::string name = line.substr(0, tab);
-        std::string hex = line.substr(tab + 1);
-        if (name.empty() || hex.size() != 16)
-            continue;
-        uint64_t value = 0;
-        bool ok = true;
-        for (char c : hex) {
-            int digit;
-            if (c >= '0' && c <= '9')
-                digit = c - '0';
-            else if (c >= 'a' && c <= 'f')
-                digit = c - 'a' + 10;
-            else {
-                ok = false;
-                break;
-            }
-            value = (value << 4) | static_cast<uint64_t>(digit);
-        }
-        if (ok)
-            out[name] = value;
+        // Lines arrive sorted, so the end hint makes each insert O(1).
+        if (std::optional<uint64_t> hash = parseHashHex(line.substr(tab + 1)))
+            out.insert_or_assign(out.end(), std::string(line.substr(0, tab)),
+                                 *hash);
     }
     return out;
 }
@@ -296,94 +311,16 @@ DepIndex
 DepIndex::parse(const std::string &blob)
 {
     DepIndex out;
-    std::istringstream in(blob);
-    std::string line;
-    while (std::getline(in, line)) {
-        size_t tab = line.find('\t');
-        if (tab == std::string::npos)
+    std::string_view rest(blob), line;
+    while (nextLine(rest, line)) {
+        const size_t tab = line.find('\t');
+        if (tab == 0 || tab == std::string_view::npos ||
+            tab + 1 == line.size())
             continue;
-        std::string caller = line.substr(0, tab);
-        std::string callee = line.substr(tab + 1);
-        if (!caller.empty() && !callee.empty())
-            out.addEdge(caller, callee);
+        out.addEdge(std::string(line.substr(0, tab)),
+                    std::string(line.substr(tab + 1)));
     }
     return out;
-}
-
-// ---------------------------------------------------------------------
-// Per-method facts
-// ---------------------------------------------------------------------
-
-std::string
-sccpFactsBlob(const air::Method &method)
-{
-    Cfg cfg(method);
-    MethodConstants consts(cfg);
-    std::ostringstream os;
-    for (int i = 0; i < method.numInstrs(); ++i) {
-        if (!consts.reachable(i))
-            continue;
-        for (int r = 0; r < method.numRegisters(); ++r) {
-            ConstVal v = consts.before(i, r);
-            if (v.isConst())
-                os << "const " << i << " " << r << " " << v.value
-                   << "\n";
-        }
-    }
-    // Record killed branch edges too: they are the facts the refuter
-    // prunes paths with.
-    for (int i = 0; i < method.numInstrs(); ++i) {
-        const air::Instruction &instr = method.instr(i);
-        if (!instr.isBranch())
-            continue;
-        for (int succ : {instr.target, i + 1}) {
-            if (succ >= 0 && succ < method.numInstrs() &&
-                !consts.edgeFeasible(i, succ))
-                os << "infeasible " << i << " " << succ << "\n";
-        }
-    }
-    return os.str();
-}
-
-std::vector<SccpFact>
-parseSccpFacts(const std::string &blob)
-{
-    std::vector<SccpFact> out;
-    std::istringstream in(blob);
-    std::string tag;
-    while (in >> tag) {
-        if (tag == "const") {
-            SccpFact f;
-            if (in >> f.instr >> f.reg >> f.value)
-                out.push_back(f);
-        } else {
-            std::string rest;
-            std::getline(in, rest);
-        }
-    }
-    return out;
-}
-
-std::string
-cfgDigest(const air::Method &method)
-{
-    Cfg cfg(method);
-    std::ostringstream structure;
-    int64_t edges = 0;
-    for (int b = 0; b < cfg.numBlocks(); ++b) {
-        const BasicBlock &block = cfg.blocks()[b];
-        structure << b << ":" << block.first << "-" << block.last
-                  << "->";
-        for (int succ : block.succs) {
-            structure << succ << ",";
-            ++edges;
-        }
-        structure << ";";
-    }
-    std::ostringstream os;
-    os << "blocks " << cfg.numBlocks() << " edges " << edges
-       << " hash " << hashHex(fnv64(structure.str()));
-    return os.str();
 }
 
 // ---------------------------------------------------------------------
@@ -426,10 +363,13 @@ Store::Store(const std::string &dir) : _dir(dir)
 std::string
 Store::pathFor(const std::string &kind, const std::string &key) const
 {
+    // Every key the analyzer writes is hex; the mapping only has to
+    // keep other keys inside `dir/<kind>/`, so no '.' (no "..", and no
+    // key that ends like a ".tmp" file).
     std::string safe;
     for (char c : key) {
         safe += (std::isalnum(static_cast<unsigned char>(c)) ||
-                 c == '-' || c == '.' || c == '_')
+                 c == '-' || c == '_')
                     ? c
                     : '_';
     }

@@ -59,7 +59,7 @@ namespace sierra::analysis::store {
 
 /** Bumped whenever a blob format or hash recipe changes; a mismatch
  *  invalidates the whole on-disk store (see docs/CACHING.md). */
-inline constexpr int kStoreSchemaVersion = 2;
+inline constexpr int kStoreSchemaVersion = 3;
 
 /** FNV-1a over bytes; the deterministic hash every key derives from. */
 uint64_t fnv64(std::string_view bytes,
@@ -70,6 +70,15 @@ uint64_t mixHash(uint64_t acc, uint64_t value);
 
 /** Fixed-width lowercase hex of a hash (16 chars). */
 std::string hashHex(uint64_t value);
+
+/** Inverse of `hashHex`: exactly 16 lowercase hex digits, else
+ *  nullopt. */
+std::optional<uint64_t> parseHashHex(std::string_view hex);
+
+/** Pop the next '\n'-terminated line of `rest` into `line` (a view
+ *  into the same buffer, without the newline); false once `rest` is
+ *  empty. The blob parsers read lines this way, copying nothing. */
+bool nextLine(std::string_view &rest, std::string_view &line);
 
 /**
  * The class-hierarchy slice of one class: its name, transitive super
@@ -138,26 +147,6 @@ class DepIndex
     //! callee -> set of callers
     std::map<std::string, std::set<std::string>> _callers;
 };
-
-/** One SCCP constant fact: register `reg` holds `value` just before
- *  instruction `instr` executes (on every invocation). */
-struct SccpFact {
-    int instr{0};
-    int reg{0};
-    int64_t value{0};
-};
-
-/** Run the intraprocedural SCCP solver over one method body and export
- *  its constant facts as a deterministic blob (one "instr reg value"
- *  line per fact, plus infeasible branch edges). */
-std::string sccpFactsBlob(const air::Method &method);
-
-/** Parse the constant rows of a `sccpFactsBlob` (edge rows skipped). */
-std::vector<SccpFact> parseSccpFacts(const std::string &blob);
-
-/** Structural digest of one method's CFG ("blocks N edges M hash H"),
- *  a cheap integrity check stored beside the per-method facts. */
-std::string cfgDigest(const air::Method &method);
 
 /** Store traffic counters (surfaced as `store.*` metrics). */
 struct StoreStats {

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "air/method.hh"
 #include "util/trace.hh"
 
 namespace sierra::serve {
@@ -59,10 +58,10 @@ IncrementalAnalyzer::analyze(framework::App &app,
     res.shapeHash = store::hashHex(shape);
     res.methodsTotal = static_cast<int>(hashes.size());
 
-    // Diff against the previous submission of the same app name.
-    const std::string app_key = app.name();
+    // Diff against the previous submission of the same app name. The
+    // name is hashed into the key: any name, even "..", is one file.
+    const std::string app_key = store::hashHex(store::fnv64(app.name()));
     std::set<std::string> changed;
-    store::DepIndex deps;
     if (auto prev = _store.get("methods", app_key)) {
         res.firstSubmission = false;
         const std::map<std::string, uint64_t> prev_index =
@@ -76,8 +75,6 @@ IncrementalAnalyzer::analyze(framework::App &app,
             if (!hashes.count(name))
                 changed.insert(name); // removed bodies dirty callers
         }
-        if (auto prev_deps = _store.get("deps", app_key))
-            deps = store::DepIndex::parse(*prev_deps);
         if (auto prev_shape = _store.get("shape", app_key))
             res.shapeChanged = *prev_shape != res.shapeHash;
         else
@@ -89,6 +86,20 @@ IncrementalAnalyzer::analyze(framework::App &app,
         res.shapeChanged = true;
     }
     res.methodsChanged = static_cast<int>(changed.size());
+
+    // The previous dependency index is read only where it is used: a
+    // clean resubmission neither widens a change nor rolls one forward.
+    store::DepIndex deps;
+    bool deps_loaded = res.firstSubmission;
+    auto load_deps = [&] {
+        if (deps_loaded)
+            return;
+        deps_loaded = true;
+        if (auto blob = _store.get("deps", app_key))
+            deps = store::DepIndex::parse(*blob);
+    };
+    if (!changed.empty())
+        load_deps();
     res.dirty = deps.dirtyClosure(changed);
 
     // Per-harness reuse. The artifact key folds the activity into the
@@ -96,13 +107,14 @@ IncrementalAnalyzer::analyze(framework::App &app,
     // artifact is still valid under the *current* method bodies.
     store::DepIndex new_deps;
     int hits = 0, misses = 0;
-    int64_t ifds_saved = 0;
+    auto harness_key = [shape](const harness::HarnessPlan &plan) {
+        return store::hashHex(
+            store::mixHash(shape, store::fnv64(plan.activityClass)));
+    };
     HarnessReuse reuse;
     reuse.tryLoad = [&](const harness::HarnessPlan &plan,
                         HarnessArtifact &out) {
-        const std::string key = store::hashHex(store::mixHash(
-            shape, store::fnv64(plan.activityClass)));
-        auto blob = _store.get("harness", key);
+        auto blob = _store.get("harness", harness_key(plan));
         if (!blob)
             return false;
         auto parsed = parseArtifact(*blob);
@@ -121,40 +133,14 @@ IncrementalAnalyzer::analyze(framework::App &app,
                            const HarnessAnalysis &ha,
                            const HarnessArtifact &art) {
         ++misses;
-        const std::string key = store::hashHex(store::mixHash(
-            shape, store::fnv64(plan.activityClass)));
-        _store.put("harness", key, serializeArtifact(art));
-
-        // Per-method facts under content-hash keys: IFDS summaries
-        // feed the dependency index; SCCP facts and CFG digests are
-        // stored on first sight of a body (their key already encodes
-        // the body, so a hit can never be stale).
+        _store.put("harness", harness_key(plan), serializeArtifact(art));
+        // The summary graph's callee edges feed the dependency index.
         if (ha.inter) {
             for (const auto &sum : ha.inter->exportSummaries()) {
                 for (const std::string &callee : sum.callees)
                     new_deps.addEdge(sum.method, callee);
-                auto it = hashes.find(sum.method);
-                if (it == hashes.end())
-                    continue;
-                const std::string mkey = store::hashHex(it->second);
-                if (!_store.get("ifds", mkey)) {
-                    _store.put("ifds", mkey,
-                               analysis::serializeSummaries({sum}));
-                    ++ifds_saved;
-                }
             }
         }
-        // Refutation verdicts: one row per race site pair. These are
-        // the persistable face of the symbolic stage -- the in-memory
-        // refuted-node cache holds process-local node ids and is
-        // deliberately not serialized (docs/CACHING.md explains why).
-        std::string verdicts;
-        for (const ArtifactRace &r : art.races) {
-            verdicts += r.m1 + "\t" + std::to_string(r.i1) + "\t" +
-                        r.m2 + "\t" + std::to_string(r.i2) + "\t" +
-                        r.key + "\t" + (r.refuted ? "1" : "0") + "\n";
-        }
-        _store.put("refute", key, verdicts);
     };
 
     res.report = detector.analyze(options, &reuse);
@@ -162,32 +148,6 @@ IncrementalAnalyzer::analyze(framework::App &app,
     res.harnessesTotal = res.report.harnesses;
     res.harnessesReused = hits;
     res.harnessesComputed = misses;
-
-    // Persist per-body facts for every *changed* method (cheap, local
-    // solves) so diagnostics can inspect them without a pipeline run.
-    if (!changed.empty()) {
-        std::map<std::string, const air::Method *> by_name;
-        for (const air::Klass *klass : app.module().classes()) {
-            if (klass->isFramework())
-                continue;
-            for (const auto &m : klass->methods()) {
-                if (m->hasBody())
-                    by_name.emplace(m->qualifiedName(), m.get());
-            }
-        }
-        for (const std::string &name : changed) {
-            auto hit = hashes.find(name);
-            auto mit = by_name.find(name);
-            if (hit == hashes.end() || mit == by_name.end())
-                continue;
-            const std::string mkey = store::hashHex(hit->second);
-            if (_store.get("cfg", mkey))
-                continue;
-            _store.put("cfg", mkey, store::cfgDigest(*mit->second));
-            _store.put("sccp", mkey,
-                       store::sccpFactsBlob(*mit->second));
-        }
-    }
 
     // Roll the app's incremental state forward: union the dependency
     // edges (reused harnesses contributed none, but their old edges
@@ -199,6 +159,7 @@ IncrementalAnalyzer::analyze(framework::App &app,
                              new_deps.numEdges() > 0 ||
                              res.shapeChanged;
     if (state_dirty) {
+        load_deps();
         deps.merge(new_deps);
         std::set<std::string> keep;
         for (const auto &[name, hash] : hashes)
@@ -216,7 +177,6 @@ IncrementalAnalyzer::analyze(framework::App &app,
         _metrics->add("store.methods_changed", res.methodsChanged);
         _metrics->add("store.dirty_methods",
                       static_cast<int64_t>(res.dirty.size()));
-        _metrics->add("store.ifds_saved", ifds_saved);
     }
     return res;
 }

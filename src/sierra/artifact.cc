@@ -1,8 +1,10 @@
 #include "artifact.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <tuple>
 
 #include "air/klass.hh"
@@ -37,8 +39,10 @@ esc(const std::string &s)
 }
 
 std::string
-unesc(const std::string &s)
+unesc(std::string_view s)
 {
+    if (s.find('\\') == std::string_view::npos)
+        return std::string(s);
     std::string out;
     out.reserve(s.size());
     for (size_t i = 0; i < s.size(); ++i) {
@@ -56,55 +60,27 @@ unesc(const std::string &s)
     return out;
 }
 
-/** Split a line on raw tabs (escaped tabs survive as "\\t"). */
-std::vector<std::string>
-fields(const std::string &line)
+/** Split a line on raw tabs (escaped tabs survive as "\\t") into
+ *  views of the line. */
+void
+splitFields(std::string_view line, std::vector<std::string_view> &out)
 {
-    std::vector<std::string> out;
-    size_t start = 0;
+    out.clear();
     while (true) {
-        size_t tab = line.find('\t', start);
-        if (tab == std::string::npos) {
-            out.push_back(line.substr(start));
-            return out;
-        }
-        out.push_back(line.substr(start, tab - start));
-        start = tab + 1;
+        size_t tab = line.find('\t');
+        out.push_back(line.substr(0, tab));
+        if (tab == std::string_view::npos)
+            return;
+        line.remove_prefix(tab + 1);
     }
 }
 
 bool
-parseInt(const std::string &s, int64_t &out)
+parseInt(std::string_view s, int64_t &out)
 {
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    long long v = std::strtoll(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseHex64(const std::string &hex, uint64_t &out)
-{
-    if (hex.size() != 16)
-        return false;
-    uint64_t value = 0;
-    for (char c : hex) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else
-            return false;
-        value = (value << 4) | static_cast<uint64_t>(digit);
-    }
-    out = value;
-    return true;
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 } // namespace
@@ -209,18 +185,21 @@ serializeArtifact(const HarnessArtifact &a)
 std::optional<HarnessArtifact>
 parseArtifact(const std::string &blob)
 {
-    std::istringstream in(blob);
-    std::string line;
-    if (!std::getline(in, line) || line != kMagic)
+    // Views into the blob: a warm submission parses every reused
+    // artifact, so no line or field is copied until it is kept.
+    using analysis::store::nextLine;
+    std::string_view rest(blob), line;
+    if (!nextLine(rest, line) || line != kMagic)
         return std::nullopt;
 
     HarnessArtifact a;
     bool saw_activity = false, saw_counts = false;
-    while (std::getline(in, line)) {
+    std::vector<std::string_view> f;
+    while (nextLine(rest, line)) {
         if (line.empty())
             continue;
-        std::vector<std::string> f = fields(line);
-        const std::string &tag = f[0];
+        splitFields(line, f);
+        const std::string_view tag = f[0];
         if (tag == "activity" && f.size() == 2) {
             a.activity = unesc(f[1]);
             saw_activity = true;
@@ -243,7 +222,8 @@ parseArtifact(const std::string &blob)
             if (!parseInt(f[2], i1) || !parseInt(f[4], i2) ||
                 !parseInt(f[6], prio) || !parseInt(f[7], refuted))
                 return std::nullopt;
-            if (!analysis::nullVerdictFromName(f[8], r.severity))
+            if (!analysis::nullVerdictFromName(std::string(f[8]),
+                                                r.severity))
                 return std::nullopt;
             r.m1 = unesc(f[1]);
             r.i1 = static_cast<int>(i1);
@@ -269,8 +249,11 @@ parseArtifact(const std::string &blob)
             u.readInstr = static_cast<int>(ri);
             a.useAfterDestroy.push_back(std::move(u));
         } else if (tag == "dl" && f.size() >= 2) {
+            // Bound the edge count by the fields present before
+            // multiplying: a corrupt count must not overflow.
             int64_t n;
             if (!parseInt(f[1], n) || n < 0 ||
+                n > static_cast<int64_t>((f.size() - 2) / 5) ||
                 f.size() != static_cast<size_t>(2 + n * 5))
                 return std::nullopt;
             analysis::DeadlockFinding d;
@@ -289,10 +272,11 @@ parseArtifact(const std::string &blob)
             }
             a.deadlocks.push_back(std::move(d));
         } else if (tag == "fp" && f.size() == 3) {
-            uint64_t hash;
-            if (!parseHex64(f[2], hash))
+            std::optional<uint64_t> hash =
+                analysis::store::parseHashHex(f[2]);
+            if (!hash)
                 return std::nullopt;
-            a.footprint.emplace_back(unesc(f[1]), hash);
+            a.footprint.emplace_back(unesc(f[1]), *hash);
         } else {
             return std::nullopt;
         }

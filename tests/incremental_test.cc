@@ -11,15 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "analysis/store.hh"
 #include "corpus/named_apps.hh"
+#include "framework/app_text.hh"
 #include "serve/incremental.hh"
 #include "sierra/artifact.hh"
 #include "sierra/detector.hh"
+#include "test_helpers.hh"
 
 #ifndef SIERRA_GOLDEN_DIR
 #define SIERRA_GOLDEN_DIR "tests/golden"
@@ -159,7 +162,8 @@ TEST(Incremental, BodyEditDirtiesExactlyTheDepClosure)
 
     // The expected dirty set is the DepIndex closure the store itself
     // recorded: the edited method plus its transitive summary callers.
-    auto deps_blob = st.get("deps", app_name);
+    auto deps_blob =
+        st.get("deps", store::hashHex(store::fnv64(app_name)));
     ASSERT_TRUE(deps_blob.has_value());
     store::DepIndex deps = store::DepIndex::parse(*deps_blob);
     std::set<std::string> expected_dirty = deps.dirtyClosure({edited});
@@ -189,6 +193,142 @@ TEST(Incremental, BodyEditDirtiesExactlyTheDepClosure)
     EXPECT_EQ(warm.reportText, edited_cold.reportText);
 }
 
+/** Parse a bundle, failing the test on a parse error. */
+std::unique_ptr<framework::App>
+parseBundle(const std::string &text)
+{
+    framework::AppTextResult parsed = framework::parseAppText(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.error;
+    return std::move(parsed.app);
+}
+
+TEST(Incremental, StoreWritesOnlyTheKindsItReadsBack)
+{
+    // The store keeps per-app state (methods, deps, shape) plus one
+    // artifact per computed harness, and nothing else: every put is a
+    // blob a later submission reads back.
+    test::TempDir dir;
+    store::Store st(dir.path);
+    serve::IncrementalAnalyzer analyzer(st);
+    SierraOptions options;
+    int64_t puts = 0; // blobs the last submission wrote
+    auto submit = [&](framework::App &app) {
+        const int64_t before = st.stats().puts;
+        serve::IncrementalResult r = analyzer.analyze(app, options);
+        puts = st.stats().puts - before;
+        return r;
+    };
+
+    corpus::BuiltApp first = corpus::buildNamedApp("OpenSudoku");
+    serve::IncrementalResult cold = submit(*first.app);
+    ASSERT_GT(cold.harnessesComputed, 0);
+    EXPECT_EQ(puts, 3 + cold.harnessesComputed);
+
+    corpus::BuiltApp again = corpus::buildNamedApp("OpenSudoku");
+    serve::IncrementalResult clean = submit(*again.app);
+    EXPECT_EQ(clean.harnessesComputed, 0);
+    EXPECT_EQ(puts, 0) << "a clean resubmission writes nothing";
+
+    corpus::BuiltApp edited = corpus::buildNamedApp("OpenSudoku");
+    appendNop(*edited.app, "Activity0$572.onSendOne$1");
+    serve::IncrementalResult edit = submit(*edited.app);
+    EXPECT_EQ(edit.methodsChanged, 1);
+    EXPECT_EQ(edit.harnessesComputed, 1);
+    EXPECT_EQ(puts, 3 + 1);
+
+    std::set<std::string> top;
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path))
+        top.insert(entry.path().filename().string());
+    EXPECT_EQ(top, (std::set<std::string>{"VERSION", "deps", "harness",
+                                          "methods", "shape"}));
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(dir.path))
+        EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+}
+
+TEST(Incremental, LeafEditDirtiesItsWholeCallChain)
+{
+    // onCreate -> helper -> leaf: a leaf edit dirties exactly the
+    // chain, pinned literally (not derived from the stored index).
+    const std::string bundle = R"(
+app "chain" {
+    package org.example.chain
+    activity Main main
+}
+class Main extends android.app.Activity {
+    field count: int
+    method <init>(): void regs=1 { @0: return-void }
+    method onCreate(): void regs=1 {
+        @0: invoke-virtual Main.helper(r0)
+        @1: return-void
+    }
+    method helper(): void regs=1 {
+        @0: invoke-virtual Main.leaf(r0)
+        @1: return-void
+    }
+    method leaf(): void regs=2 {
+        @0: r1 = const 1
+        @1: putfield r0.Main.count = r1
+        @2: return-void
+    }
+}
+)";
+    store::Store st;
+    serve::IncrementalAnalyzer analyzer(st);
+    SierraOptions options;
+    auto first = parseBundle(bundle);
+    ASSERT_NE(first, nullptr);
+    analyzer.analyze(*first, options);
+
+    auto second = parseBundle(bundle);
+    ASSERT_NE(second, nullptr);
+    appendNop(*second, "Main.leaf");
+    serve::IncrementalResult warm = analyzer.analyze(*second, options);
+    EXPECT_EQ(warm.methodsChanged, 1);
+    EXPECT_EQ(warm.dirty, (std::set<std::string>{
+                              "Main.leaf", "Main.helper", "Main.onCreate"}));
+}
+
+TEST(Incremental, AppNamesThatArePathsKeepTheirOwnStoreFiles)
+{
+    // The app name is hashed into the per-app keys, so a name that is
+    // also a path component ("..") is still one file of its own, and
+    // "a/b" no longer shares a file with "a_b".
+    const std::string text = framework::printAppText(
+        *corpus::buildNamedApp("OpenSudoku").app);
+    const std::string header = "app \"OpenSudoku\"";
+    ASSERT_EQ(text.rfind(header, 0), 0u);
+    auto renamed = [&](const std::string &name) {
+        std::string out = text;
+        out.replace(0, header.size(), "app \"" + name + "\"");
+        auto app = parseBundle(out);
+        EXPECT_EQ(app ? app->name() : "", name);
+        return app;
+    };
+
+    test::TempDir dir;
+    SierraOptions options;
+    {
+        store::Store st(dir.path);
+        serve::IncrementalAnalyzer analyzer(st);
+        for (const char *name : {"..", "a/b", "a_b"}) {
+            auto app = renamed(name);
+            ASSERT_NE(app, nullptr);
+            EXPECT_TRUE(analyzer.analyze(*app, options).firstSubmission)
+                << name;
+        }
+    }
+    store::Store st(dir.path); // a second process on the same store
+    serve::IncrementalAnalyzer analyzer(st);
+    auto app = renamed("..");
+    ASSERT_NE(app, nullptr);
+    serve::IncrementalResult warm = analyzer.analyze(*app, options);
+    EXPECT_FALSE(warm.firstSubmission);
+    EXPECT_EQ(warm.methodsChanged, 0);
+    EXPECT_FALSE(warm.shapeChanged);
+    EXPECT_EQ(warm.harnessesComputed, 0);
+}
+
 TEST(Incremental, StoreContentsIndependentOfJobsCount)
 {
     // Same app at different jobs counts must write byte-identical
@@ -208,8 +348,7 @@ TEST(Incremental, StoreContentsIndependentOfJobsCount)
     EXPECT_EQ(serial.reportText, parallel.reportText);
     EXPECT_EQ(serial.shapeHash, parallel.shapeHash)
         << "jobs must not feed the options fingerprint";
-    for (const std::string &kind :
-         {"methods", "deps", "shape", "harness", "ifds", "refute"}) {
+    for (const char *kind : {"methods", "deps", "shape", "harness"}) {
         auto keys = serial_store.keys(kind);
         ASSERT_EQ(keys, parallel_store.keys(kind)) << kind;
         for (const std::string &key : keys) {

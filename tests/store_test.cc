@@ -11,12 +11,12 @@
 
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
 #include "analysis/store.hh"
 #include "corpus/named_apps.hh"
 #include "framework/app_text.hh"
 #include "sierra/detector.hh"
+#include "test_helpers.hh"
 
 namespace sierra {
 namespace {
@@ -24,28 +24,7 @@ namespace {
 namespace store = analysis::store;
 namespace fs = std::filesystem;
 
-struct TempDir {
-    std::string path;
-    TempDir()
-    {
-        path = (fs::temp_directory_path() /
-                ("sierra_store_test_" +
-                 std::to_string(::getpid()) + "_" +
-                 std::to_string(counter())))
-                   .string();
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-    static int
-    counter()
-    {
-        static int n = 0;
-        return n++;
-    }
-};
+using test::TempDir;
 
 TEST(Store, MethodHashesStableAcrossFreshBuilds)
 {
@@ -229,41 +208,6 @@ TEST(Store, VersionMismatchDiscardsGeneration)
     EXPECT_EQ(stamp, store::Store::versionStamp());
 }
 
-TEST(Store, SccpFactsAndCfgDigestAreDeterministic)
-{
-    corpus::BuiltApp a = corpus::buildNamedApp("OpenSudoku");
-    corpus::BuiltApp b = corpus::buildNamedApp("OpenSudoku");
-    const air::Method *ma = nullptr, *mb = nullptr;
-    for (air::Klass *klass : a.app->module().classes()) {
-        if (klass->isFramework())
-            continue;
-        for (const auto &m : klass->methods()) {
-            if (m->hasBody()) {
-                ma = m.get();
-                break;
-            }
-        }
-        if (ma)
-            break;
-    }
-    ASSERT_NE(ma, nullptr);
-    for (air::Klass *klass : b.app->module().classes()) {
-        for (const auto &m : klass->methods()) {
-            if (m->qualifiedName() == ma->qualifiedName())
-                mb = m.get();
-        }
-    }
-    ASSERT_NE(mb, nullptr);
-    EXPECT_EQ(store::sccpFactsBlob(*ma), store::sccpFactsBlob(*mb));
-    EXPECT_EQ(store::cfgDigest(*ma), store::cfgDigest(*mb));
-    // Round-trip of the fact rows.
-    std::string blob = store::sccpFactsBlob(*ma);
-    for (const store::SccpFact &f : store::parseSccpFacts(blob)) {
-        EXPECT_GE(f.instr, 0);
-        EXPECT_GE(f.reg, 0);
-    }
-}
-
 TEST(Store, ArtifactSerializationRoundTrips)
 {
     HarnessArtifact art;
@@ -310,36 +254,68 @@ TEST(Store, ArtifactSerializationRoundTrips)
     EXPECT_FALSE(parseArtifact("").has_value());
 }
 
-TEST(Store, SummaryExportRoundTrips)
+TEST(Store, ArtifactWithHugeDeadlockEdgeCountIsRejected)
 {
-    analysis::InterConstants::ExportedSummary s;
-    s.method = "A.compute";
-    s.open = true;
-    s.params.resize(2);
-    s.params[1] =
-        analysis::ConstVal{analysis::ConstVal::State::Const, 42};
-    s.ret = analysis::ConstVal{analysis::ConstVal::State::Top, 0};
-    analysis::InterConstants::MustWrite w;
-    w.field = air::FieldRef{"A", "flag"};
-    w.isStatic = true;
-    w.exclusive = true;
-    w.value = 1;
-    s.mustWrites.push_back(w);
-    s.callees = {"A.helper", "B.leaf"};
+    // A corrupt count must be rejected by comparing it against the
+    // fields present, not by a `2 + n * 5` that overflows int64.
+    const std::string head = "harness-artifact v2\nactivity\tA\n"
+                             "counts\t1\t2\t3\t4\t5\t6\n";
+    for (const char *count :
+         {"4611686018427387904", "9223372036854775807",
+          "3689348814741910324", "1"}) {
+        EXPECT_FALSE(
+            parseArtifact(head + "dl\t" + count + "\n").has_value())
+            << count;
+    }
+    // The same header with a well-formed one-edge row parses.
+    auto ok = parseArtifact(head + "dl\t1\ta\tb\tM.m\t3\tpost#1\n");
+    ASSERT_TRUE(ok.has_value());
+    ASSERT_EQ(ok->deadlocks.size(), 1u);
+    EXPECT_EQ(ok->deadlocks[0].edges[0].instrIdx, 3);
+}
 
-    std::string blob = analysis::serializeSummaries({s});
-    auto back = analysis::parseSummaries(blob);
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].method, "A.compute");
-    EXPECT_TRUE(back[0].open);
-    ASSERT_EQ(back[0].params.size(), 2u);
-    EXPECT_TRUE(back[0].params[1].isConst());
-    EXPECT_EQ(back[0].params[1].value, 42);
-    EXPECT_EQ(back[0].callees,
-              (std::vector<std::string>{"A.helper", "B.leaf"}));
-    ASSERT_EQ(back[0].mustWrites.size(), 1u);
-    EXPECT_EQ(back[0].mustWrites[0].field.toString(), "A.flag");
-    EXPECT_EQ(analysis::serializeSummaries(back), blob);
+TEST(Store, HashHexRoundTripsAndRejectsMalformed)
+{
+    for (uint64_t v : {uint64_t{0}, uint64_t{42},
+                       uint64_t{0xdeadbeefcafef00dULL}, ~uint64_t{0}})
+        EXPECT_EQ(store::parseHashHex(store::hashHex(v)), v);
+    for (const char *bad : {"", "00000000000000", "0000000000000000a",
+                            "DEADBEEFCAFEF00D", "000000000000000g",
+                            "-000000000000001"})
+        EXPECT_FALSE(store::parseHashHex(bad).has_value()) << bad;
+}
+
+TEST(Store, BlobParsersDropMalformedLinesAndReadAnUnterminatedLast)
+{
+    EXPECT_EQ(store::parseMethodIndex("A.m\t0000000000000001\n"
+                                      "\t0000000000000002\n"
+                                      "no tab\n\n"
+                                      "B.n\t00000000000000zz\n"
+                                      "C.k\t0000000000000003"),
+              (std::map<std::string, uint64_t>{{"A.m", 1}, {"C.k", 3}}));
+    store::DepIndex dep =
+        store::DepIndex::parse("main\thelper\n\tleaf\nhelper\t\n"
+                               "\nhelper\tleaf");
+    EXPECT_EQ(dep.serialize(), "main\thelper\nhelper\tleaf\n");
+}
+
+TEST(Store, DiskKeysStayInsideTheirKindDirectory)
+{
+    // "." and ".." must not name the kind directory or the store
+    // root: each key is one file under `dir/<kind>/`.
+    TempDir dir;
+    {
+        store::Store first(dir.path);
+        first.put("kind", "..", "dots");
+        first.put("kind", ".", "dot");
+    }
+    store::Store second(dir.path);
+    EXPECT_EQ(second.get("kind", ".."), "dots");
+    EXPECT_EQ(second.get("kind", "."), "dot");
+    for (const auto &entry :
+         fs::recursive_directory_iterator(dir.path)) {
+        EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    }
 }
 
 } // namespace

@@ -3,8 +3,10 @@
 #ifndef SIERRA_TESTS_TEST_HELPERS_HH
 #define SIERRA_TESTS_TEST_HELPERS_HH
 
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <unistd.h>
 
 #include "corpus/app_factory.hh"
 #include "harness/harness.hh"
@@ -31,6 +33,27 @@ makePipeline(const std::string &name, Fill fill)
     p.detector = std::make_unique<SierraDetector>(*p.built.app);
     return p;
 }
+
+/** A fresh directory path under the system temp dir, removed (with
+ *  everything in it) on destruction. Not created up front. */
+struct TempDir {
+    std::string path;
+    TempDir()
+    {
+        static int counter = 0;
+        path = (std::filesystem::temp_directory_path() /
+                ("sierra_test_dir_" + std::to_string(::getpid()) + "_" +
+                 std::to_string(counter++)))
+                   .string();
+    }
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+};
 
 /** Find an action by label substring; -1 if absent. */
 inline int

@@ -11,12 +11,15 @@ stdio, across two daemon *processes* sharing one on-disk store.
      the report is byte-identical to process A's cold report.
   3. Process B: submit a one-method nop edit -> exactly one method
      changed, at least one harness artifact still reuses.
+  4. The store directory holds exactly VERSION and the four kinds
+     (deps, harness, methods, shape), with no *.tmp file left.
 
 Exit 0 on success; prints the failing check and exits 1 otherwise.
 Usage: tools/serve_smoke.py [path/to/sierra]
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -120,6 +123,20 @@ def main():
             b[2]["result"]["store"]["diskReads"] > 0,
             "process B faulted artifacts in from disk",
         )
+
+        # --- the store holds only the kinds a submission reads back ---
+        top = sorted(os.listdir(store))
+        check(
+            top == ["VERSION", "deps", "harness", "methods", "shape"],
+            "store layout is VERSION + deps/harness/methods/shape: %s" % top,
+        )
+        tmps = [
+            os.path.join(d, f)
+            for d, _, files in os.walk(store)
+            for f in files
+            if f.endswith(".tmp")
+        ]
+        check(not tmps, "no .tmp file left in the store: %s" % tmps)
 
     if failures:
         print(f"\n{len(failures)} serve-smoke check(s) failed")
