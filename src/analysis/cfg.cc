@@ -13,6 +13,15 @@ using air::Opcode;
 
 namespace {
 
+/** Whether a branch's target names an instruction of the body. The
+ *  verifier rejects any other target; analyses that run anyway treat
+ *  such an edge as absent. */
+bool
+targetInBody(const air::Method &m, const Instruction &instr)
+{
+    return instr.target >= 0 && instr.target < m.numInstrs();
+}
+
 /** Instruction-level fallthrough/branch successors (no exit block). */
 std::vector<int>
 rawSuccs(const air::Method &m, int idx)
@@ -21,13 +30,14 @@ rawSuccs(const air::Method &m, int idx)
     std::vector<int> out;
     switch (instr.op) {
       case Opcode::Goto:
-        out.push_back(instr.target);
+        if (targetInBody(m, instr))
+            out.push_back(instr.target);
         break;
       case Opcode::If:
       case Opcode::IfZ:
         if (idx + 1 < m.numInstrs())
             out.push_back(idx + 1);
-        if (instr.target != idx + 1)
+        if (instr.target != idx + 1 && targetInBody(m, instr))
             out.push_back(instr.target);
         break;
       case Opcode::Return:
@@ -53,10 +63,13 @@ Cfg::Cfg(const air::Method &method) : _method(method)
     // Identify leaders: instruction 0, branch targets, and fallthroughs
     // after branches/terminators.
     std::set<int> leaders{0};
+    _isBranchTarget.assign(n, 0);
     for (int i = 0; i < n; ++i) {
         const Instruction &instr = method.instr(i);
-        if (instr.isBranch())
+        if (instr.isBranch() && targetInBody(method, instr)) {
             leaders.insert(instr.target);
+            _isBranchTarget[instr.target] = 1;
+        }
         if ((instr.isBranch() || instr.isTerminator()) && i + 1 < n)
             leaders.insert(i + 1);
     }

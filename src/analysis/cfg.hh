@@ -27,7 +27,8 @@ struct BasicBlock {
  *
  * Block 0 is the entry block; a synthetic exit block (with no
  * instructions) collects all returns/throws so dominance queries have a
- * single sink.
+ * single sink. A branch whose target lies outside the body (which the
+ * verifier reports) contributes no edge.
  */
 class Cfg
 {
@@ -44,6 +45,14 @@ class Cfg
 
     /** Block containing the given instruction index. */
     int blockOf(int instr_idx) const { return _blockOfInstr[instr_idx]; }
+
+    /** Is the instruction the target of some branch (a point where
+     *  another path may join)? */
+    bool
+    isBranchTarget(int instr_idx) const
+    {
+        return _isBranchTarget[instr_idx] != 0;
+    }
 
     /** Instruction-level successor indices of an instruction. */
     std::vector<int> instrSuccs(int instr_idx) const;
@@ -74,6 +83,7 @@ class Cfg
     const air::Method &_method;
     std::vector<BasicBlock> _blocks;
     std::vector<int> _blockOfInstr;
+    std::vector<char> _isBranchTarget; //!< per instruction
     int _exitBlock{-1};
 };
 

@@ -100,6 +100,61 @@ evalBranch(const Instruction &instr, const std::vector<ConstVal> &env)
     return air::evalCond(instr.cond, lhs.value, rhs) ? 1 : 0;
 }
 
+/**
+ * The value instruction `idx` writes to its destination register under
+ * `env`: folded constants and arithmetic, the seeded return of an
+ * invoke, Top for everything else.
+ */
+ConstVal
+written(const ConstSeed &seed, int idx, const Instruction &instr,
+        const std::vector<ConstVal> &env)
+{
+    switch (instr.op) {
+      case Opcode::ConstInt: return constOf(instr.intValue);
+      case Opcode::ConstNull: return constOf(0);
+      case Opcode::Move: return env[instr.srcs[0]];
+      case Opcode::BinOp: {
+        const ConstVal &l = env[instr.srcs[0]];
+        const ConstVal &r = env[instr.srcs[1]];
+        return l.isConst() && r.isConst()
+                   ? constOf(air::evalBinOp(instr.binop, l.value, r.value))
+                   : constTop();
+      }
+      case Opcode::UnOp: {
+        const ConstVal &s = env[instr.srcs[0]];
+        if (!s.isConst())
+            return constTop();
+        // Matches the dynamic interpreter: Not is logical.
+        return constOf(instr.unop == air::UnOpKind::Not
+                           ? (s.value == 0 ? 1 : 0)
+                           : -s.value);
+      }
+      case Opcode::Invoke: {
+        auto it = seed.invokeReturns.find(idx);
+        return it == seed.invokeReturns.end() ? constTop() : it->second;
+      }
+      default:
+        // Loads, allocations, ConstStr: unknown value. (New is non-null
+        // but not a *known* integer; modeling it as a constant would
+        // fold comparisons between two distinct allocations.)
+        return constTop();
+    }
+}
+
+/** The blocks a conditional branch ending `block` leads to: its
+ *  target's (-1 for a target outside the body) and its fallthrough's
+ *  (-1 at the end of the body). */
+std::pair<int, int>
+branchBlocks(const Cfg &cfg, const BasicBlock &block)
+{
+    const air::Method &m = cfg.method();
+    const int target = m.instr(block.last).target;
+    return {target >= 0 && target < m.numInstrs() ? cfg.blockOf(target)
+                                                  : -1,
+            block.last + 1 < m.numInstrs() ? cfg.blockOf(block.last + 1)
+                                           : -1};
+}
+
 /** The conditional-constant-propagation problem for the solver. */
 struct ConstProblem {
     using Domain = std::vector<ConstVal>;
@@ -107,13 +162,18 @@ struct ConstProblem {
         DataflowDirection::Forward;
 
     int numRegisters;
+    const ConstSeed &seed;
 
     Domain
     boundary() const
     {
-        // Parameters (and, conservatively, uninitialized temporaries)
-        // hold arbitrary values: facts must cover every invocation.
-        return Domain(static_cast<size_t>(numRegisters), constTop());
+        // Registers the seed does not pin (all of them when unseeded,
+        // and conservatively uninitialized temporaries) hold arbitrary
+        // values.
+        Domain d(static_cast<size_t>(numRegisters), constTop());
+        for (size_t r = 0; r < seed.params.size() && r < d.size(); ++r)
+            d[r] = seed.params[r];
+        return d;
     }
 
     bool
@@ -132,9 +192,12 @@ struct ConstProblem {
     }
 
     void
-    transfer(int, const Instruction &instr, Domain &d) const
+    transfer(int idx, const Instruction &instr, Domain &d) const
     {
-        MethodConstants::transferInstr(instr, d);
+        // An instruction writes its destination register and nothing
+        // else.
+        if (instr.dst >= 0)
+            d[instr.dst] = written(seed, idx, instr, d);
     }
 
     bool
@@ -146,16 +209,12 @@ struct ConstProblem {
         const Instruction &last = cfg.method().instr(fb.last);
         if (!last.isConditionalBranch())
             return true;
-        const int target_block = cfg.blockOf(last.target);
-        const int fall_block =
-            fb.last + 1 < cfg.method().numInstrs()
-                ? cfg.blockOf(fb.last + 1)
-                : -1;
+        const auto [target_block, fall_block] = branchBlocks(cfg, fb);
         if (target_block == fall_block)
             return true; // one edge either way: no information
 
         // `d` is the post-block state, i.e. the environment at the
-        // branch; transferInstr is a no-op for branches.
+        // branch; branches write no register.
         const bool is_target_edge = to == target_block;
         const int verdict = evalBranch(last, d);
         if (verdict == 1 && !is_target_edge)
@@ -189,48 +248,8 @@ struct ConstProblem {
 
 } // namespace
 
-ConstVal
-MethodConstants::written(const Instruction &instr,
-                         const std::vector<ConstVal> &env)
-{
-    switch (instr.op) {
-      case Opcode::ConstInt: return constOf(instr.intValue);
-      case Opcode::ConstNull: return constOf(0);
-      case Opcode::Move: return env[instr.srcs[0]];
-      case Opcode::BinOp: {
-        const ConstVal &l = env[instr.srcs[0]];
-        const ConstVal &r = env[instr.srcs[1]];
-        return l.isConst() && r.isConst()
-                   ? constOf(air::evalBinOp(instr.binop, l.value, r.value))
-                   : constTop();
-      }
-      case Opcode::UnOp: {
-        const ConstVal &s = env[instr.srcs[0]];
-        if (!s.isConst())
-            return constTop();
-        // Matches the dynamic interpreter: Not is logical.
-        return constOf(instr.unop == air::UnOpKind::Not
-                           ? (s.value == 0 ? 1 : 0)
-                           : -s.value);
-      }
-      default:
-        // Loads, calls, allocations, ConstStr: unknown value. (New is
-        // non-null but not a *known* integer; modeling it as a constant
-        // would fold comparisons between two distinct allocations.)
-        return constTop();
-    }
-}
-
-void
-MethodConstants::transferInstr(const Instruction &instr,
-                               std::vector<ConstVal> &env)
-{
-    // An instruction writes its destination register and nothing else.
-    if (instr.dst >= 0)
-        env[instr.dst] = written(instr, env);
-}
-
-MethodConstants::MethodConstants(const Cfg &cfg) : _method(&cfg.method())
+MethodConstants::MethodConstants(const Cfg &cfg, const ConstSeed &seed)
+    : _method(&cfg.method()), _seed(seed)
 {
     const air::Method &m = cfg.method();
     const int n = m.numInstrs();
@@ -238,7 +257,7 @@ MethodConstants::MethodConstants(const Cfg &cfg) : _method(&cfg.method())
     _before.assign(
         n, std::vector<ConstVal>(static_cast<size_t>(m.numRegisters())));
 
-    ConstProblem problem{m.numRegisters()};
+    ConstProblem problem{m.numRegisters(), _seed};
     DataflowResult<ConstProblem::Domain> r =
         solveDataflow(cfg, problem);
 
@@ -251,7 +270,7 @@ MethodConstants::MethodConstants(const Cfg &cfg) : _method(&cfg.method())
         for (int i = block.first; i <= block.last; ++i) {
             _reachable[i] = 1;
             _before[i] = env;
-            transferInstr(m.instr(i), env);
+            problem.transfer(i, m.instr(i), env);
         }
 
         // Record branch edges the fixpoint proved infeasible, keyed by
@@ -259,15 +278,13 @@ MethodConstants::MethodConstants(const Cfg &cfg) : _method(&cfg.method())
         const Instruction &last = m.instr(block.last);
         if (!last.isConditionalBranch())
             continue;
-        const int target_block = cfg.blockOf(last.target);
-        const int fall_block =
-            block.last + 1 < n ? cfg.blockOf(block.last + 1) : -1;
+        const auto [target_block, fall_block] = branchBlocks(cfg, block);
         if (target_block == fall_block)
             continue;
         const int verdict = evalBranch(last, _before[block.last]);
         if (verdict == 1 && fall_block >= 0)
             _infeasible.insert({block.last, block.last + 1});
-        else if (verdict == 0)
+        else if (verdict == 0 && target_block >= 0)
             _infeasible.insert({block.last, last.target});
     }
 }
@@ -287,7 +304,7 @@ MethodConstants::after(int instr, int reg) const
         return {};
     const Instruction &in = _method->instr(instr);
     if (in.dst >= 0 && in.dst == reg)
-        return written(in, _before[instr]);
+        return written(_seed, instr, in, _before[instr]);
     return _before[instr][reg];
 }
 

@@ -40,12 +40,15 @@
  * Shipped clients: constant propagation with infeasible-edge detection
  * (MethodConstants), reaching definitions (ReachingDefs), and live
  * registers (Liveness). They power the constant-guided symbolic refuter
- * (symbolic/executor.cc) and the AIR lint driver (analysis/lint.cc).
+ * (symbolic/executor.cc), the AIR lint driver (analysis/lint.cc) and,
+ * seeded through ConstSeed, the interprocedural engine
+ * (analysis/ifds.cc).
  */
 
 #ifndef SIERRA_ANALYSIS_DATAFLOW_HH
 #define SIERRA_ANALYSIS_DATAFLOW_HH
 
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -192,15 +195,29 @@ solveDataflow(const Cfg &cfg, const Problem &problem)
 // ---------------------------------------------------------------------
 
 /**
+ * What is known on entry to one method body beyond its own code. The
+ * interprocedural engine (analysis/ifds) seeds each solve with the
+ * joined actuals of every call site and the callees' return summaries;
+ * the default, empty seed makes every fact hold for *all* invocations.
+ */
+struct ConstSeed {
+    /** Entry values of the first params.size() registers (`this` and
+     *  the parameters); the other registers start Top. */
+    std::vector<ConstVal> params;
+    /** The value each Invoke, by instruction index, writes to its
+     *  destination; an Invoke not listed writes Top. */
+    std::map<int, ConstVal> invokeReturns;
+};
+
+/**
  * Flow-sensitive constant facts for one method.
  *
  * Registers are propagated through const/move/arith instructions;
- * loads, calls and allocations produce Top, and method parameters start
- * at Top, so every fact holds for *all* invocations of the method.
- * Branches whose condition folds to a constant kill the untaken edge,
- * making the analysis conditional: code behind a constant guard is
- * recognized as unreachable and constants are only merged over
- * feasible paths.
+ * loads, allocations and (unless seeded) calls produce Top, and method
+ * parameters start at their seeded value, Top by default. Branches
+ * whose condition folds to a constant kill the untaken edge, making
+ * the analysis conditional: code behind a constant guard is recognized
+ * as unreachable and constants are only merged over feasible paths.
  *
  * Facts are per instruction: `before(i, r)` is the value of register r
  * when instruction i starts executing. The symbolic refuter uses
@@ -211,7 +228,7 @@ solveDataflow(const Cfg &cfg, const Problem &problem)
 class MethodConstants
 {
   public:
-    explicit MethodConstants(const Cfg &cfg);
+    explicit MethodConstants(const Cfg &cfg, const ConstSeed &seed = {});
 
     /** Value of `reg` just before instruction `instr` executes. */
     ConstVal before(int instr, int reg) const;
@@ -240,17 +257,9 @@ class MethodConstants
         return static_cast<int>(_infeasible.size());
     }
 
-    /** Apply one instruction's effect on a register environment
-     *  (exposed for the solver's problem object and for tests). */
-    static void transferInstr(const air::Instruction &instr,
-                              std::vector<ConstVal> &env);
-    /** The value transferInstr writes to `instr.dst` (which must be a
-     *  register), read without copying or changing `env`. */
-    static ConstVal written(const air::Instruction &instr,
-                            const std::vector<ConstVal> &env);
-
   private:
     const air::Method *_method;
+    ConstSeed _seed;
     std::vector<std::vector<ConstVal>> _before; //!< per instr, per reg
     std::vector<char> _reachable;               //!< per instr
     std::set<std::pair<int, int>> _infeasible;  //!< (branch, succ) instrs

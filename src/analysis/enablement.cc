@@ -5,7 +5,7 @@
 
 #include "enablement.hh"
 
-#include "dataflow.hh"
+#include "method_facts.hh"
 #include "framework/known_api.hh"
 
 namespace sierra::analysis {
@@ -532,7 +532,7 @@ EnablementAnalysis::solveTypestate(NodeId node) const
     const air::Method *m = _result.cg.node(node).method;
     if (m == nullptr || m->instrs().empty())
         return {};
-    const Cfg cfg(*m);
+    const Cfg &cfg = _result.facts.cfg(*m);
 
     // Per-invoke transitive may-enable mask of the resolved callees.
     std::unordered_map<int, uint8_t> callee_mask;

@@ -4,8 +4,7 @@
 #include <optional>
 
 #include "air/logging.hh"
-#include "cfg.hh"
-#include "dataflow.hh"
+#include "method_facts.hh"
 
 namespace sierra::analysis {
 
@@ -20,25 +19,6 @@ constTop()
     ConstVal v;
     v.state = ConstVal::State::Top;
     return v;
-}
-
-ConstVal
-constOf(int64_t value)
-{
-    ConstVal v;
-    v.state = ConstVal::State::Const;
-    v.value = value;
-    return v;
-}
-
-/** Meet of two (Const | Top) values, Bottom treated as Top. This is
- *  the path-join used inside one method's SCCP solve. */
-ConstVal
-constMeet(const ConstVal &a, const ConstVal &b)
-{
-    if (a.isConst() && b.isConst() && a.value == b.value)
-        return a;
-    return constTop();
 }
 
 /** Optimistic join used across the interprocedural fixpoint: Bottom
@@ -59,24 +39,6 @@ bool
 sameVal(const ConstVal &a, const ConstVal &b)
 {
     return a.state == b.state && (!a.isConst() || a.value == b.value);
-}
-
-/** Decide a conditional branch under a register environment.
- *  @return 1 = always taken, 0 = never taken, -1 = unknown. */
-int
-evalBranch(const Instruction &instr, const std::vector<ConstVal> &env)
-{
-    const ConstVal &lhs = env[instr.srcs[0]];
-    if (!lhs.isConst())
-        return -1;
-    int64_t rhs = 0;
-    if (instr.op == Opcode::If) {
-        const ConstVal &r = env[instr.srcs[1]];
-        if (!r.isConst())
-            return -1;
-        rhs = r.value;
-    }
-    return air::evalCond(instr.cond, lhs.value, rhs) ? 1 : 0;
 }
 
 /** Identity of one field in the may/must-write summaries (string
@@ -142,7 +104,7 @@ mustMeet(MustEnv &into, const MustEnv &from)
 
 struct InterConstants::MethodInfo {
     const air::Method *method{nullptr};
-    std::unique_ptr<Cfg> cfg;
+    const Cfg *cfg{nullptr}; //!< from the shared MethodFacts table
     /** Framework-invoked (action entry / harness root / no callers):
      *  parameters pinned to Top. */
     bool open{false};
@@ -163,10 +125,10 @@ struct InterConstants::MethodInfo {
     std::set<int> unresolvedAt;
     std::vector<int> callers; //!< universe indices, sorted unique
 
-    // Final per-instruction facts (from the converged last solve).
-    std::vector<std::vector<ConstVal>> before;
-    std::vector<char> reachable;
-    std::set<std::pair<int, int>> infeasible;
+    /** Per-instruction facts of the last solve, seeded with the
+     *  parameter and callee-return summaries (null before the first
+     *  solve and after budget exhaustion). */
+    std::unique_ptr<MethodConstants> facts;
 
     // Summaries of field writes.
     std::map<FieldSlot, char> mayWriteOnlyThis; //!< present = may write
@@ -191,7 +153,7 @@ InterConstants::buildUniverse()
         _index.emplace(m, static_cast<int>(_methods.size()));
         MethodInfo mi;
         mi.method = m;
-        mi.cfg = std::make_unique<Cfg>(*m);
+        mi.cfg = &_r.facts.cfg(*m);
         mi.params.assign(static_cast<size_t>(m->firstTempReg()),
                          ConstVal{});
         mi.thisStable = !m->isStatic();
@@ -302,116 +264,11 @@ InterConstants::computeRpo()
         _methods[static_cast<size_t>(*it)].rpo = next++;
 }
 
-namespace {
-
-/** The per-method SCCP problem, seeded with the interprocedural
- *  parameter facts and callee return summaries. */
-struct SeededConstProblem {
-    using Domain = std::vector<ConstVal>;
-    static constexpr DataflowDirection kDirection =
-        DataflowDirection::Forward;
-
-    int numRegisters;
-    int numFrameRegs;
-    bool open;
-    const std::vector<ConstVal> *params;
-    /** dst value of each Invoke instruction under current summaries. */
-    const std::map<int, ConstVal> *invokeReturns;
-
-    Domain
-    boundary() const
-    {
-        Domain d(static_cast<size_t>(numRegisters), constTop());
-        if (!open) {
-            for (int r = 0; r < numFrameRegs; ++r)
-                d[static_cast<size_t>(r)] =
-                    (*params)[static_cast<size_t>(r)];
-        }
-        return d;
-    }
-
-    bool
-    merge(Domain &into, const Domain &from) const
-    {
-        bool changed = false;
-        for (size_t r = 0; r < into.size(); ++r) {
-            ConstVal met = constMeet(into[r], from[r]);
-            if (!sameVal(met, into[r])) {
-                into[r] = met;
-                changed = true;
-            }
-        }
-        return changed;
-    }
-
-    void
-    transfer(int instr_idx, const Instruction &instr, Domain &d) const
-    {
-        if (instr.op == Opcode::Invoke) {
-            if (instr.dst >= 0) {
-                auto it = invokeReturns->find(instr_idx);
-                d[static_cast<size_t>(instr.dst)] =
-                    it != invokeReturns->end() ? it->second
-                                               : constTop();
-            }
-            return;
-        }
-        MethodConstants::transferInstr(instr, d);
-    }
-
-    bool
-    edgeTransfer(const Cfg &cfg, int from, int to, Domain &d) const
-    {
-        const auto &fb = cfg.blocks()[from];
-        if (fb.first > fb.last)
-            return true; // synthetic exit block
-        const Instruction &last = cfg.method().instr(fb.last);
-        if (!last.isConditionalBranch())
-            return true;
-        const int target_block = cfg.blockOf(last.target);
-        const int fall_block =
-            fb.last + 1 < cfg.method().numInstrs()
-                ? cfg.blockOf(fb.last + 1)
-                : -1;
-        if (target_block == fall_block)
-            return true; // one edge either way: no information
-
-        const bool is_target_edge = to == target_block;
-        const int verdict = evalBranch(last, d);
-        if (verdict == 1 && !is_target_edge)
-            return false;
-        if (verdict == 0 && is_target_edge)
-            return false;
-
-        // Refine an equality edge, as the intraprocedural SCCP does.
-        air::CondKind effective =
-            is_target_edge ? last.cond : air::negateCond(last.cond);
-        if (effective == air::CondKind::Eq) {
-            int reg = -1;
-            int64_t value = 0;
-            if (last.op == Opcode::IfZ) {
-                reg = last.srcs[0];
-                value = 0;
-            } else if (d[last.srcs[1]].isConst()) {
-                reg = last.srcs[0];
-                value = d[last.srcs[1]].value;
-            } else if (d[last.srcs[0]].isConst()) {
-                reg = last.srcs[1];
-                value = d[last.srcs[0]].value;
-            }
-            if (reg >= 0 && !d[reg].isConst())
-                d[reg] = constOf(value);
-        }
-        return true;
-    }
-};
-
-} // namespace
-
 /**
  * (Re-)summarize one method under the current interprocedural facts:
- * record its per-instruction facts, join its actuals into callee
- * parameter summaries, and recompute its return summary.
+ * solve its constants seeded with its parameter and callee-return
+ * summaries, join its actuals into callee parameter summaries, and
+ * recompute its return summary.
  * @return true if the return summary changed.
  */
 bool
@@ -419,94 +276,54 @@ InterConstants::solveOne(int idx)
 {
     MethodInfo &mi = _methods[static_cast<size_t>(idx)];
     const air::Method &m = *mi.method;
-    const Cfg &cfg = *mi.cfg;
-    const int n = m.numInstrs();
 
-    // The callee return summary of each call, fixed for this solve.
-    std::map<int, ConstVal> invoke_returns;
+    // Framework-invoked methods keep Top parameters; each call takes
+    // the callee return summary, fixed for this solve.
+    ConstSeed seed;
+    if (!mi.open)
+        seed.params = mi.params;
     for (const auto &[instr, at] : mi.calleesAt) {
-        if (mi.unresolvedAt.count(instr)) {
-            invoke_returns.emplace(instr, constTop());
-            continue;
-        }
         ConstVal v; // Bottom
-        for (int c : at)
-            v = constJoin(v, _methods[static_cast<size_t>(c)].ret);
-        invoke_returns.emplace(instr, v);
+        if (mi.unresolvedAt.count(instr)) {
+            v = constTop();
+        } else {
+            for (int c : at)
+                v = constJoin(v, _methods[static_cast<size_t>(c)].ret);
+        }
+        seed.invokeReturns.emplace(instr, v);
     }
-
-    SeededConstProblem problem{m.numRegisters(), m.firstTempReg(),
-                               mi.open, &mi.params, &invoke_returns};
-    DataflowResult<SeededConstProblem::Domain> r =
-        solveDataflow(cfg, problem);
-
-    mi.reachable.assign(static_cast<size_t>(n), 0);
-    mi.before.assign(static_cast<size_t>(n),
-                     std::vector<ConstVal>(
-                         static_cast<size_t>(m.numRegisters())));
-    mi.infeasible.clear();
+    mi.facts = std::make_unique<MethodConstants>(*mi.cfg, seed);
+    const MethodConstants &facts = *mi.facts;
 
     ConstVal ret; // Bottom
-    for (const BasicBlock &block : cfg.blocks()) {
-        if (block.first > block.last || !r.reached[block.id])
+    for (int i = 0; i < m.numInstrs(); ++i) {
+        if (!facts.reachable(i))
             continue;
-        std::vector<ConstVal> env = r.atEntry[block.id];
-        for (int i = block.first; i <= block.last; ++i) {
-            ++_stats.statesVisited;
-            mi.reachable[static_cast<size_t>(i)] = 1;
-            mi.before[static_cast<size_t>(i)] = env;
-            const Instruction &instr = m.instr(i);
-            if (instr.op == Opcode::Invoke) {
-                // Flow actuals into the formal summaries of callees.
-                auto at = mi.calleesAt.find(i);
-                if (at != mi.calleesAt.end()) {
-                    for (int c : at->second) {
-                        MethodInfo &cm =
-                            _methods[static_cast<size_t>(c)];
-                        if (cm.open)
-                            continue;
-                        for (size_t a = 0; a < cm.params.size();
-                             ++a) {
-                            ConstVal v =
-                                a < instr.srcs.size()
-                                    ? env[static_cast<size_t>(
-                                          instr.srcs[a])]
-                                    : constTop();
-                            ConstVal joined =
-                                constJoin(cm.params[a], v);
-                            if (!sameVal(joined, cm.params[a])) {
-                                cm.params[a] = joined;
-                                _paramsDirty.insert(c);
-                            }
-                        }
-                    }
+        ++_stats.statesVisited;
+        const Instruction &instr = m.instr(i);
+        if (instr.op == Opcode::Return)
+            ret = constJoin(ret, facts.before(i, instr.srcs[0]));
+        if (instr.op != Opcode::Invoke)
+            continue;
+        // Flow actuals into the formal summaries of callees.
+        auto at = mi.calleesAt.find(i);
+        if (at == mi.calleesAt.end())
+            continue;
+        for (int c : at->second) {
+            MethodInfo &cm = _methods[static_cast<size_t>(c)];
+            if (cm.open)
+                continue;
+            for (size_t a = 0; a < cm.params.size(); ++a) {
+                ConstVal v = a < instr.srcs.size()
+                                 ? facts.before(i, instr.srcs[a])
+                                 : constTop();
+                ConstVal joined = constJoin(cm.params[a], v);
+                if (!sameVal(joined, cm.params[a])) {
+                    cm.params[a] = joined;
+                    _paramsDirty.insert(c);
                 }
-                problem.transfer(i, instr, env);
-            } else {
-                MethodConstants::transferInstr(instr, env);
             }
-            if (instr.op == Opcode::Return)
-                ret = constJoin(
-                    ret, mi.before[static_cast<size_t>(i)]
-                                  [static_cast<size_t>(
-                                      instr.srcs[0])]);
         }
-
-        // Record branch edges the fixpoint proved infeasible.
-        const Instruction &last = m.instr(block.last);
-        if (!last.isConditionalBranch())
-            continue;
-        const int target_block = cfg.blockOf(last.target);
-        const int fall_block =
-            block.last + 1 < n ? cfg.blockOf(block.last + 1) : -1;
-        if (target_block == fall_block)
-            continue;
-        const int verdict =
-            evalBranch(last, mi.before[static_cast<size_t>(block.last)]);
-        if (verdict == 1 && fall_block >= 0)
-            mi.infeasible.insert({block.last, block.last + 1});
-        else if (verdict == 0)
-            mi.infeasible.insert({block.last, last.target});
     }
 
     // Monotone replacement keeps termination independent of
@@ -634,6 +451,7 @@ InterConstants::computeMustWrites()
         MethodInfo &mi = _methods[static_cast<size_t>(idx)];
         const air::Method &m = *mi.method;
         const Cfg &cfg = *mi.cfg;
+        const MethodConstants &facts = *mi.facts;
 
         auto transferInstr = [&](int i, const Instruction &instr,
                                  MustEnv &env) {
@@ -644,9 +462,7 @@ InterConstants::computeMustWrites()
                            instr.field.fieldName};
                 if (!m.isStatic() && instr.srcs[0] == 0 &&
                     mi.thisStable) {
-                    ConstVal v =
-                        mi.before[static_cast<size_t>(i)]
-                                 [static_cast<size_t>(instr.srcs[1])];
+                    ConstVal v = facts.before(i, instr.srcs[1]);
                     env[id] = v.isConst() ? WriteVal{true, v.value}
                                           : WriteVal{};
                 } else if (auto it = env.find(id); it != env.end()) {
@@ -657,9 +473,7 @@ InterConstants::computeMustWrites()
                 break;
               }
               case Opcode::PutStatic: {
-                ConstVal v =
-                    mi.before[static_cast<size_t>(i)]
-                             [static_cast<size_t>(instr.srcs[0])];
+                ConstVal v = facts.before(i, instr.srcs[0]);
                 env[FieldSlot{true, instr.field.className,
                             instr.field.fieldName}] =
                     v.isConst() ? WriteVal{true, v.value}
@@ -770,8 +584,7 @@ InterConstants::computeMustWrites()
                         instr.op == Opcode::Return ||
                         instr.op == Opcode::ReturnVoid ||
                         instr.op == Opcode::Throw;
-                    if (is_exit &&
-                        mi.reachable[static_cast<size_t>(i)]) {
+                    if (is_exit && facts.reachable(i)) {
                         if (!exit_seen) {
                             exit_env = env;
                             exit_seen = true;
@@ -853,9 +666,7 @@ InterConstants::InterConstants(const PointsToResult &result,
         // Partial fixpoints are not sound facts: degrade to "know
         // nothing" rather than answer from a stale lattice.
         for (MethodInfo &mi : _methods) {
-            mi.before.clear();
-            mi.reachable.clear();
-            mi.infeasible.clear();
+            mi.facts.reset();
             mi.mustWrites.clear();
             mi.ret = constTop();
         }
@@ -865,68 +676,50 @@ InterConstants::InterConstants(const PointsToResult &result,
 
 InterConstants::~InterConstants() = default;
 
+const MethodConstants *
+InterConstants::factsAt(int idx, int instr) const
+{
+    if (idx < 0 || _stats.budgetExhausted)
+        return nullptr;
+    const MethodInfo &mi = _methods[static_cast<size_t>(idx)];
+    if (!mi.facts || instr < 0 || instr >= mi.method->numInstrs())
+        return nullptr;
+    return mi.facts.get();
+}
+
 ConstVal
 InterConstants::before(const air::Method *m, int instr, int reg) const
 {
-    int idx = indexOf(m);
-    if (idx < 0 || _stats.budgetExhausted)
+    const MethodConstants *facts = factsAt(indexOf(m), instr);
+    if (!facts || !facts->reachable(instr))
         return constTop();
-    const MethodInfo &mi = _methods[static_cast<size_t>(idx)];
-    if (instr < 0 ||
-        static_cast<size_t>(instr) >= mi.reachable.size() ||
-        !mi.reachable[static_cast<size_t>(instr)])
-        return constTop();
-    return mi.before[static_cast<size_t>(instr)]
-                    [static_cast<size_t>(reg)];
+    return facts->before(instr, reg);
 }
 
 ConstVal
 InterConstants::afterAt(int idx, int instr, int reg) const
 {
-    if (idx < 0 || _stats.budgetExhausted)
+    // The seed gave each call its callees' final return summaries, so
+    // an invoke's written value is their join (Top when unresolved).
+    const MethodConstants *facts = factsAt(idx, instr);
+    if (!facts || !facts->reachable(instr))
         return constTop();
-    const MethodInfo &mi = _methods[static_cast<size_t>(idx)];
-    if (instr < 0 ||
-        static_cast<size_t>(instr) >= mi.reachable.size() ||
-        !mi.reachable[static_cast<size_t>(instr)])
-        return constTop();
-    const std::vector<ConstVal> &env =
-        mi.before[static_cast<size_t>(instr)];
-    const Instruction &in = mi.method->instr(instr);
-    if (in.dst < 0 || in.dst != reg)
-        return env[static_cast<size_t>(reg)];
-    if (in.op != Opcode::Invoke)
-        return MethodConstants::written(in, env);
-    if (mi.unresolvedAt.count(instr))
-        return constTop();
-    auto at = mi.calleesAt.find(instr);
-    if (at == mi.calleesAt.end())
-        return constTop();
-    ConstVal v; // Bottom
-    for (int c : at->second)
-        v = constJoin(v, _methods[static_cast<size_t>(c)].ret);
-    return v;
+    return facts->after(instr, reg);
 }
 
 bool
 InterConstants::reachableAt(int idx, int instr) const
 {
-    if (idx < 0 || _stats.budgetExhausted)
-        return true;
-    const MethodInfo &mi = _methods[static_cast<size_t>(idx)];
-    if (instr < 0 || static_cast<size_t>(instr) >= mi.reachable.size())
-        return true;
-    return mi.reachable[static_cast<size_t>(instr)] != 0;
+    const MethodConstants *facts = factsAt(idx, instr);
+    return !facts || facts->reachable(instr);
 }
 
 bool
 InterConstants::edgeFeasibleAt(int idx, int from_instr,
                                int to_instr) const
 {
-    if (idx < 0 || _stats.budgetExhausted)
-        return true;
-    return !_methods[static_cast<size_t>(idx)].infeasible.count(
-        {from_instr, to_instr});
+    const MethodConstants *facts = factsAt(idx, from_instr);
+    return !facts || facts->edgeFeasible(from_instr, to_instr);
 }
 
 ConstVal

@@ -3,7 +3,8 @@
  * Summary-based interprocedural dataflow (IFDS/IDE-style) over the
  * call graph of one harness, plus its two shipped clients.
  *
- * The engine lifts the PR-2 intraprocedural SCCP facts across calls.
+ * The engine lifts the intraprocedural SCCP (MethodConstants) across
+ * calls by seeding each method's solve (ConstSeed) with its summaries.
  * Each method in the harness's call-graph envelope gets a *summary*:
  *  - the constant lattice value of every formal parameter, joined over
  *    the actuals of every call site that can reach the method
@@ -49,6 +50,8 @@
 #include "points_to.hh"
 
 namespace sierra::analysis {
+
+class MethodConstants; // dataflow.hh
 
 /** Budgets for the interprocedural tabulation. */
 struct IfdsOptions {
@@ -159,6 +162,10 @@ class InterConstants
   private:
     struct MethodInfo;
 
+    /** The solved facts of method `idx` when they can answer a query
+     *  at `instr` (a known method, in-range instruction, facts not
+     *  discarded); null means "know nothing". */
+    const MethodConstants *factsAt(int idx, int instr) const;
     void buildUniverse();
     void buildCallLists();
     void computeRpo();

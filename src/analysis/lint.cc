@@ -4,9 +4,8 @@
 #include <set>
 
 #include "air/logging.hh"
-#include "cfg.hh"
-#include "dataflow.hh"
 #include "framework/known_api.hh"
+#include "method_facts.hh"
 
 namespace sierra::analysis {
 
@@ -128,13 +127,11 @@ isPureValueOp(Opcode op)
 }
 
 void
-lintInto(const Method &method, const LintOptions &opts,
+lintInto(const Cfg &cfg, const LintOptions &opts,
          const framework::KnownApis *apis,
          std::vector<VerifyIssue> &out)
 {
-    if (!method.hasBody())
-        return;
-    const Cfg cfg(method);
+    const Method &method = cfg.method();
 
     auto at = [&](int idx) {
         return strCat(method.qualifiedName(), "@", idx);
@@ -339,7 +336,8 @@ struct MustTeardown {
 /** Keys a class must-unregister in at least one teardown callback. */
 std::set<std::string>
 mustTeardownKeys(const air::Klass &klass,
-                 const framework::KnownApis &apis)
+                 const framework::KnownApis &apis,
+                 const MethodFacts &facts)
 {
     std::set<std::string> satisfied;
     for (const auto &m : klass.methods()) {
@@ -348,7 +346,7 @@ mustTeardownKeys(const air::Klass &klass,
         const std::string &n = m->name();
         if (n != "onPause" && n != "onStop" && n != "onDestroy")
             continue;
-        const Cfg cfg(*m);
+        const Cfg &cfg = facts.cfg(*m);
         MustTeardown problem{m.get(), &apis};
         DataflowResult<MustTeardown::Domain> r =
             solveDataflow(cfg, problem);
@@ -384,6 +382,7 @@ mustTeardownKeys(const air::Klass &klass,
 void
 lintLeakedRegistrations(const air::Klass &klass,
                         const framework::KnownApis &apis,
+                        const MethodFacts &facts,
                         std::vector<VerifyIssue> &out)
 {
     std::set<std::string> satisfied;
@@ -435,7 +434,7 @@ lintLeakedRegistrations(const air::Klass &klass,
             }
             if (!key.empty()) {
                 if (!satisfied_computed) {
-                    satisfied = mustTeardownKeys(klass, apis);
+                    satisfied = mustTeardownKeys(klass, apis, facts);
                     satisfied_computed = true;
                 }
                 if (satisfied.count(key))
@@ -453,7 +452,8 @@ std::vector<VerifyIssue>
 lintMethod(const Method &method, const LintOptions &opts)
 {
     std::vector<VerifyIssue> out;
-    lintInto(method, opts, nullptr, out);
+    if (method.hasBody())
+        lintInto(Cfg(method), opts, nullptr, out);
     return air::dedupeIssues(std::move(out));
 }
 
@@ -461,12 +461,15 @@ std::vector<VerifyIssue>
 lintModule(const air::Module &module, const LintOptions &opts)
 {
     const framework::KnownApis apis(module);
+    const MethodFacts facts(module);
     std::vector<VerifyIssue> out;
     for (const air::Klass *k : module.classes()) {
-        for (const auto &m : k->methods())
-            lintInto(*m, opts, &apis, out);
+        for (const auto &m : k->methods()) {
+            if (m->hasBody())
+                lintInto(facts.cfg(*m), opts, &apis, out);
+        }
         if (opts.leakedRegistration)
-            lintLeakedRegistrations(*k, apis, out);
+            lintLeakedRegistrations(*k, apis, facts, out);
     }
     return air::dedupeIssues(std::move(out));
 }

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "cfg.hh"
-#include "dataflow.hh"
+#include "method_facts.hh"
 
 namespace sierra::analysis {
 
@@ -150,7 +149,7 @@ LockSetAnalysis::LockSetAnalysis(const PointsToResult &pts)
                 s = _entry[id];
             return;
         }
-        Cfg cfg(*method);
+        const Cfg &cfg = pts.facts.cfg(*method);
         LockProblem problem{pts, id, _entry[id]};
         DataflowResult<LockState> r = solveDataflow(cfg, problem);
         for (const BasicBlock &block : cfg.blocks()) {

@@ -1,8 +1,7 @@
 #include "nullflow.hh"
 
 #include "air/method.hh"
-#include "cfg.hh"
-#include "dominators.hh"
+#include "method_facts.hh"
 
 namespace sierra::analysis {
 
@@ -87,24 +86,6 @@ nullCheckedReg(const Instruction &in)
 
 } // namespace
 
-/** Per-method CFG + dominator tree + jump-target mask, built once on
- *  the first guard query against the method. */
-struct NullFlowAnalysis::DomInfo {
-    Cfg cfg;
-    DominatorTree dom;
-    std::vector<char> isTarget;
-
-    explicit DomInfo(const air::Method &m) : cfg(m), dom(cfg)
-    {
-        isTarget.assign(static_cast<size_t>(m.numInstrs()), 0);
-        for (const Instruction &in : m.instrs()) {
-            if (in.isBranch() && in.target >= 0 &&
-                in.target < m.numInstrs())
-                isTarget[static_cast<size_t>(in.target)] = 1;
-        }
-    }
-};
-
 NullFlowAnalysis::NullFlowAnalysis(
     const PointsToResult &result, const InterConstants *inter,
     const framework::KnownApis &apis,
@@ -113,8 +94,6 @@ NullFlowAnalysis::NullFlowAnalysis(
       _happensBefore(std::move(happensBefore))
 {
 }
-
-NullFlowAnalysis::~NullFlowAnalysis() = default;
 
 bool
 NullFlowAnalysis::storesProvenNull(NodeId node, const air::Method *m,
@@ -174,26 +153,15 @@ NullFlowAnalysis::buildStoreIndex()
     }
 }
 
-const NullFlowAnalysis::DomInfo *
-NullFlowAnalysis::domInfoFor(const air::Method *m)
-{
-    auto it = _doms.find(m);
-    if (it == _doms.end()) {
-        it = _doms.emplace(m, std::make_unique<DomInfo>(*m)).first;
-        ++_stats.domTrees;
-    }
-    return it->second.get();
-}
-
 int
-NullFlowAnalysis::soleDefOf(const air::Method &m, int before_instr,
-                            int reg, const std::vector<char> &is_target)
+NullFlowAnalysis::soleDefOf(const Cfg &cfg, int before_instr, int reg)
 {
+    const air::Method &m = cfg.method();
     // Backward walk through moves, aborting at any control-flow join,
     // branch, or terminator: past those the register may hold a value
     // from another path, and the def must hold on *every* execution.
     for (int i = before_instr - 1; i >= 0; --i) {
-        if (is_target[static_cast<size_t>(i + 1)])
+        if (cfg.isBranchTarget(i + 1))
             return -1;
         const Instruction &in = m.instr(i);
         if (in.isBranch() || in.isTerminator())
@@ -222,10 +190,10 @@ NullFlowAnalysis::isGuardLoad(const air::Method &m, int read_instr,
     if (reg < 0)
         return false;
     const int n = m.numInstrs();
-    const DomInfo *info = domInfoFor(&m);
+    const Cfg &cfg = _r.facts.cfg(m);
     for (int i = read_instr + 1; i < n; ++i) {
         // Another path joins in: the value may escape along it.
-        if (info->isTarget[static_cast<size_t>(i)])
+        if (cfg.isBranchTarget(i))
             return false;
         const Instruction &in = m.instr(i);
         bool uses = false;
@@ -263,12 +231,12 @@ NullFlowAnalysis::dominatedByNullCheck(const air::Method &m,
                                        const air::FieldRef &field,
                                        std::string *chain)
 {
-    const DomInfo *info = domInfoFor(&m);
+    const Cfg &cfg = _r.facts.cfg(m);
 
     // Does the register tested at `use_instr` carry a load of the
     // sink's field (directly or through a returning null-check API)?
     auto testsField = [&](int use_instr, int reg) {
-        int d = soleDefOf(m, use_instr, reg, info->isTarget);
+        int d = soleDefOf(cfg, use_instr, reg);
         if (d < 0)
             return false;
         const Instruction &def = m.instr(d);
@@ -279,7 +247,7 @@ NullFlowAnalysis::dominatedByNullCheck(const air::Method &m,
             int checked = nullCheckedReg(def);
             if (checked < 0)
                 return false;
-            int d2 = soleDefOf(m, d, checked, info->isTarget);
+            int d2 = soleDefOf(cfg, d, checked);
             if (d2 < 0)
                 return false;
             const Instruction &load = m.instr(d2);
@@ -303,7 +271,7 @@ NullFlowAnalysis::dominatedByNullCheck(const air::Method &m,
             for (int side = 0; side < 2 && !is_guard; ++side) {
                 int fld_reg = in.srcs[static_cast<size_t>(side)];
                 int nul_reg = in.srcs[static_cast<size_t>(1 - side)];
-                int dn = soleDefOf(m, g, nul_reg, info->isTarget);
+                int dn = soleDefOf(cfg, g, nul_reg);
                 if (dn < 0 || m.instr(dn).op != Opcode::ConstNull)
                     continue;
                 is_guard = testsField(g, fld_reg);
@@ -314,7 +282,7 @@ NullFlowAnalysis::dominatedByNullCheck(const air::Method &m,
             // Throwing check: reaching past it proves non-null.
             int checked = nullCheckedReg(in);
             if (checked >= 0) {
-                int d = soleDefOf(m, g, checked, info->isTarget);
+                int d = soleDefOf(cfg, g, checked);
                 if (d >= 0) {
                     const Instruction &load = m.instr(d);
                     is_guard = isFieldLoad(load) &&
@@ -322,7 +290,8 @@ NullFlowAnalysis::dominatedByNullCheck(const air::Method &m,
                 }
             }
         }
-        if (is_guard && info->dom.instrDominates(g, read_instr)) {
+        if (is_guard &&
+            _r.facts.dominators(m).instrDominates(g, read_instr)) {
             if (chain) {
                 *chain = "guard " + m.qualifiedName() + ":" +
                          std::to_string(g) + " dominates the read";

@@ -15,9 +15,9 @@
  * The analysis is a second demand-driven client beside InterConstants
  * (BackDroid-style: start from the few interesting sinks, walk
  * backward): nothing is computed until the first query, and a harness
- * with zero surviving pairs does zero work. The store index and the
- * per-method dominator trees are built lazily and shared across
- * queries of one harness.
+ * with zero surviving pairs does zero work. The store index is built
+ * lazily and shared across queries of one harness; CFGs and dominator
+ * trees come from the shared PointsToResult::facts table.
  *
  * Layering: like the enablement stage, analysis/ may not depend on
  * race/ or hb/, so the race layer adapts RacyPairs into classifyRead
@@ -31,10 +31,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "cfg.hh"
 #include "framework/known_api.hh"
 #include "ifds.hh"
 #include "points_to.hh"
@@ -69,7 +69,6 @@ struct NullFlowStats {
     int64_t nullStores{0};    //!< of those, proven null on every path
     int64_t guarded{0};       //!< sinks protected by a dominating check
     int64_t harmful{0};       //!< sinks classified harmful
-    int64_t domTrees{0};      //!< dominator trees built on demand
 };
 
 /** One verdict with its provenance chain (empty for Unknown). */
@@ -100,7 +99,6 @@ class NullFlowAnalysis
                      const InterConstants *inter,
                      const framework::KnownApis &apis,
                      std::function<bool(int, int)> happensBefore);
-    ~NullFlowAnalysis();
 
     /**
      * Classify one surviving pair's read sink. `read_node`/`read_instr`
@@ -123,16 +121,12 @@ class NullFlowAnalysis
         NodeId node{-1};
         bool isNull{false}; //!< stored value proven null on every path
     };
-    struct DomInfo; //!< Cfg + DominatorTree bundle, built on demand
-
     void buildStoreIndex();
     bool storesProvenNull(NodeId node, const air::Method *m, int instr,
                           int value_reg) const;
-    const DomInfo *domInfoFor(const air::Method *m);
     /** Instruction index of the def of `reg` reaching `before_instr`
      *  on every path (move-chasing, join-aborting walk); -1 if mixed. */
-    static int soleDefOf(const air::Method &m, int before_instr,
-                         int reg, const std::vector<char> &is_target);
+    static int soleDefOf(const Cfg &cfg, int before_instr, int reg);
     bool isGuardLoad(const air::Method &m, int read_instr,
                      std::string *chain);
     bool dominatedByNullCheck(const air::Method &m, int read_instr,
@@ -148,7 +142,6 @@ class NullFlowAnalysis
     //! canonical key string -> every ref-field store to it, in
     //! (node, instr) scan order (deterministic)
     std::map<std::string, std::vector<StoreSite>> _stores;
-    std::map<const air::Method *, std::unique_ptr<DomInfo>> _doms;
 };
 
 } // namespace sierra::analysis

@@ -5,6 +5,7 @@
 #include "air/logging.hh"
 #include "array_keys.hh"
 #include "framework/known_api.hh"
+#include "method_facts.hh"
 #include "util/trace.hh"
 
 namespace sierra::analysis {
@@ -16,6 +17,20 @@ using air::Opcode;
 using framework::ApiKind;
 
 const ObjSet PointsToResult::_emptySet;
+
+PointsToResult::PointsToResult(
+    const air::Module &module,
+    std::shared_ptr<const ClassHierarchy> shared_cha,
+    std::shared_ptr<const MethodFacts> shared_facts)
+    : _chaPtr(shared_cha ? std::move(shared_cha)
+                         : std::make_shared<ClassHierarchy>(module)),
+      cha(*_chaPtr),
+      _factsPtr(shared_facts ? std::move(shared_facts)
+                             : std::make_shared<MethodFacts>(module)),
+      facts(*_factsPtr)
+{
+    cg.setArena(&arena);
+}
 
 const ObjSet &
 PointsToResult::pointsTo(NodeId node, int reg) const
@@ -640,8 +655,8 @@ PointsToAnalysis::Engine::fieldConstOf(ObjId obj, FieldId key) const
 std::unique_ptr<PointsToResult>
 PointsToAnalysis::Engine::run()
 {
-    _r = std::make_unique<PointsToResult>(_app.module(),
-                                          _opts.sharedCha);
+    _r = std::make_unique<PointsToResult>(
+        _app.module(), _opts.sharedCha, _opts.sharedFacts);
     _r->options = _opts;
     _r->mainLooperObj =
         _r->objects.singleton(framework::names::looper, kMainLooper);

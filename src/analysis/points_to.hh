@@ -46,6 +46,8 @@
 
 namespace sierra::analysis {
 
+class MethodFacts; // method_facts.hh (which includes this header)
+
 /** Dense points-to / id set (ascending iteration, like std::set). */
 using ObjSet = util::ObjBitset;
 
@@ -63,6 +65,10 @@ struct PointsToOptions {
      * builds and owns its own.
      */
     std::shared_ptr<const ClassHierarchy> sharedCha;
+    /** Optional app-level per-method facts (CFGs, dominators,
+     *  constants), shared and co-owned exactly like `sharedCha`. Null:
+     *  the result builds and owns its own table. */
+    std::shared_ptr<const MethodFacts> sharedFacts;
     /**
      * Give array accesses with constant indices per-element locations
      * instead of one "$elems" summary (the paper's future-work citation
@@ -122,6 +128,14 @@ class PointsToResult
   public:
     //! Hierarchy facts (read-only view of `_chaPtr`).
     const ClassHierarchy &cha;
+
+  private:
+    //! The per-method facts table, shared or built here like `_chaPtr`.
+    std::shared_ptr<const MethodFacts> _factsPtr;
+
+  public:
+    //! Per-method CFGs, dominators and constants (view of `_factsPtr`).
+    const MethodFacts &facts;
     PointsToOptions options;
     PtaStats stats;
 
@@ -145,14 +159,8 @@ class PointsToResult
 
     explicit PointsToResult(
         const air::Module &module,
-        std::shared_ptr<const ClassHierarchy> shared_cha = nullptr)
-        : _chaPtr(shared_cha
-                      ? std::move(shared_cha)
-                      : std::make_shared<ClassHierarchy>(module)),
-          cha(*_chaPtr)
-    {
-        cg.setArena(&arena);
-    }
+        std::shared_ptr<const ClassHierarchy> shared_cha = nullptr,
+        std::shared_ptr<const MethodFacts> shared_facts = nullptr);
 
     const ObjSet &pointsTo(NodeId node, int reg) const;
     ConstVal constOf(NodeId node, int reg) const;

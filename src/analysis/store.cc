@@ -404,19 +404,26 @@ Store::put(const std::string &kind, const std::string &key,
            const std::string &blob)
 {
     ++_stats.puts;
-    _stats.bytesWritten += static_cast<int64_t>(blob.size());
     _blobs[kind + "/" + key] = blob;
-    if (_dir.empty())
-        return;
-    std::error_code ec;
-    fs::create_directories(fs::path(_dir) / kind, ec);
-    const std::string path = pathFor(kind, key);
-    const std::string tmp = path + ".tmp";
-    {
+    if (!_dir.empty()) {
+        std::error_code ec;
+        fs::create_directories(fs::path(_dir) / kind, ec);
+        const std::string path = pathFor(kind, key);
+        const std::string tmp = path + ".tmp";
         std::ofstream out(tmp, std::ios::binary);
         out << blob;
+        out.close();
+        if (!out.fail())
+            fs::rename(tmp, path, ec);
+        if (out.fail() || ec) {
+            // The blob stays served from memory; on disk nothing
+            // changes, so a later process simply misses.
+            fs::remove(tmp, ec);
+            ++_stats.writeFailures;
+            return;
+        }
     }
-    fs::rename(tmp, path, ec);
+    _stats.bytesWritten += static_cast<int64_t>(blob.size());
 }
 
 std::vector<std::string>

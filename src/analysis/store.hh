@@ -150,11 +150,12 @@ class DepIndex
 
 /** Store traffic counters (surfaced as `store.*` metrics). */
 struct StoreStats {
-    int64_t gets{0};         //!< lookups issued
-    int64_t hits{0};         //!< lookups answered (memory or disk)
-    int64_t puts{0};         //!< blobs written
-    int64_t diskReads{0};    //!< blobs faulted in from disk
-    int64_t bytesWritten{0};
+    int64_t gets{0};          //!< lookups issued
+    int64_t hits{0};          //!< lookups answered (memory or disk)
+    int64_t puts{0};          //!< blobs stored
+    int64_t diskReads{0};     //!< blobs faulted in from disk
+    int64_t bytesWritten{0};  //!< bytes of the puts that landed
+    int64_t writeFailures{0}; //!< disk writes that failed (memory kept)
 };
 
 /**

@@ -140,6 +140,7 @@ ServeSession::handle(const Json &request)
         store_stats.set("puts", Json::integer(s.puts));
         store_stats.set("diskReads", Json::integer(s.diskReads));
         store_stats.set("bytesWritten", Json::integer(s.bytesWritten));
+        store_stats.set("writeFailures", Json::integer(s.writeFailures));
         result.set("store", std::move(store_stats));
     } else if (kind == "cancel") {
         const Json *target_field = request.field("target");

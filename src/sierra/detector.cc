@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "air/logging.hh"
+#include "analysis/method_facts.hh"
 #include "framework/known_api.hh"
 #include "util/thread_pool.hh"
 #include "util/trace.hh"
@@ -53,14 +54,15 @@ timeStage([[maybe_unused]] const std::string &span_name,
 }
 
 /**
- * The app-level prelude: the class hierarchy and, with the dataflow
- * stage on, the field-effect summaries, which every harness task
- * shares. Both are pure functions of the module and immutable after
- * construction, so building them once per analyze() instead of once
- * per harness removes the dominant redundant work from the plan
- * fan-out (tasks only read them concurrently). Points `options` at
- * them, charges the dataflow stage to `times` and returns the
- * summaries, which must outlive every task.
+ * The app-level prelude: the class hierarchy, the per-method facts
+ * table and, with the dataflow stage on, the field-effect summaries,
+ * which every harness task shares. All are pure functions of the
+ * module (complete once harness generation has added its `main`
+ * methods) and are only read after construction, so building them
+ * once per analyze() instead of once per harness removes the dominant
+ * redundant work from the plan fan-out. Points `options` at them,
+ * charges the dataflow stage to `times` and returns the summaries,
+ * which must outlive every task.
  */
 std::unique_ptr<analysis::FieldEffects>
 buildSharedFacts(framework::App &app, SierraOptions &options,
@@ -68,6 +70,8 @@ buildSharedFacts(framework::App &app, SierraOptions &options,
 {
     options.pta.sharedCha =
         std::make_shared<analysis::ClassHierarchy>(app.module());
+    options.pta.sharedFacts =
+        std::make_shared<analysis::MethodFacts>(app.module());
     std::unique_ptr<analysis::FieldEffects> effects;
     const Stage &dataflow = stageOf(StageId::Dataflow);
     if (stageOn(dataflow, options) && !options.racy.effects) {
@@ -305,7 +309,6 @@ fillMetrics(util::metrics::Registry &m, const HarnessAnalysis &ha,
     m.add("nullflow.null_stores", nf.nullStores);
     m.add("nullflow.guarded", nf.guarded);
     m.add("nullflow.harmful", nf.harmful);
-    m.add("nullflow.dom_trees", nf.domTrees);
     m.add("nullflow.classified", ha.nullflowClassified);
 
     m.add("deadlock.observations", ha.deadlockStats.observations);

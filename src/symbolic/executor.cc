@@ -2,6 +2,7 @@
 
 #include "air/logging.hh"
 #include "analysis/ifds.hh"
+#include "analysis/method_facts.hh"
 
 namespace sierra::symbolic {
 
@@ -26,7 +27,7 @@ BackwardExecutor::BackwardExecutor(const analysis::PointsToResult &result,
                                    ExecutorOptions options,
                                    RefutedNodeCache *shared_cache)
     : _r(result), _opts(options),
-      _slotOfNode(static_cast<size_t>(result.cg.numNodes()), nullptr),
+      _slotOfNode(static_cast<size_t>(result.cg.numNodes())),
       _nodeCache(shared_cache)
 {
     if (!_nodeCache) {
@@ -35,28 +36,18 @@ BackwardExecutor::BackwardExecutor(const analysis::PointsToResult &result,
     }
 }
 
-BackwardExecutor::MethodSlot &
+const BackwardExecutor::MethodSlot &
 BackwardExecutor::slotOf(NodeId n)
 {
-    MethodSlot *&cached = _slotOfNode[static_cast<size_t>(n)];
-    if (cached)
-        return *cached;
-    const air::Method *m = _r.cg.node(n).method;
-    MethodSlot &slot = _slots[m];
+    MethodSlot &slot = _slotOfNode[static_cast<size_t>(n)];
     if (!slot.cfg) {
-        slot.cfg = std::make_unique<analysis::Cfg>(*m);
-        slot.interIdx = _opts.inter ? _opts.inter->indexOf(m) : -1;
+        const air::Method &m = *_r.cg.node(n).method;
+        slot.cfg = &_r.facts.cfg(m);
+        if (_opts.useConstFacts)
+            slot.facts = &_r.facts.constants(m);
+        slot.interIdx = _opts.inter ? _opts.inter->indexOf(&m) : -1;
     }
-    cached = &slot;
     return slot;
-}
-
-const analysis::MethodConstants &
-BackwardExecutor::factsOf(MethodSlot &slot)
-{
-    if (!slot.facts)
-        slot.facts = std::make_unique<analysis::MethodConstants>(*slot.cfg);
-    return *slot.facts;
 }
 
 analysis::FieldKey
@@ -149,7 +140,7 @@ BackwardExecutor::resolveLoc(NodeId n, int reg,
 }
 
 bool
-BackwardExecutor::transfer(PathState &st, MethodSlot &slot,
+BackwardExecutor::transfer(PathState &st, const MethodSlot &slot,
                            const Instruction &instr)
 {
     ConstraintStore &store = st.store;
@@ -166,9 +157,8 @@ BackwardExecutor::transfer(PathState &st, MethodSlot &slot,
       case Opcode::UnOp: {
         // Arithmetic results are opaque to the WP transfer, but the
         // constant fixpoint may know the value holds on every run.
-        if (_opts.useConstFacts) {
-            analysis::ConstVal v =
-                factsOf(slot).after(st.instr, instr.dst);
+        if (slot.facts) {
+            analysis::ConstVal v = slot.facts->after(st.instr, instr.dst);
             if (v.isConst()) {
                 return store.substituteReg(regKey(f, instr.dst),
                                            Operand::constant(v.value));
@@ -621,7 +611,7 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
             _queryVisited.insert(st.node);
         }
 
-        MethodSlot &slot = slotOf(st.node);
+        const MethodSlot &slot = slotOf(st.node);
         const air::Method *m = &slot.cfg->method();
         const Instruction &instr = m->instr(st.instr);
 
@@ -656,8 +646,7 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
             ++paths;
             continue;
         }
-        const analysis::MethodConstants *facts =
-            _opts.useConstFacts ? &factsOf(slot) : nullptr;
+        const analysis::MethodConstants *facts = slot.facts;
         const int frame = st.frame;
         const int depth = st.depth;
         for (int k = 0; k < num_preds; ++k) {

@@ -233,20 +233,17 @@ class BackwardExecutor
         return frame * kFrameStride + reg;
     }
 
-    /** What the walk needs about one method at every step, looked up
-     *  once per expanded state rather than once per predecessor edge.
-     *  Shared by every call-graph node of the method. */
+    /** What the walk needs about one node's method at every step,
+     *  looked up once per node rather than once per predecessor edge.
+     *  The facts live in the shared PointsToResult::facts table. */
     struct MethodSlot {
-        std::unique_ptr<analysis::Cfg> cfg;
-        //! constant facts, built on first use (useConstFacts)
-        std::unique_ptr<analysis::MethodConstants> facts;
+        const analysis::Cfg *cfg{nullptr}; //!< null until first visit
+        //! constant facts (useConstFacts), else null
+        const analysis::MethodConstants *facts{nullptr};
         int interIdx{-1}; //!< InterConstants handle of the method
     };
 
-    MethodSlot &slotOf(analysis::NodeId n);
-
-    /** Lazily computed per-method constant facts (useConstFacts). */
-    const analysis::MethodConstants &factsOf(MethodSlot &slot);
+    const MethodSlot &slotOf(analysis::NodeId n);
 
     /** Which canonical key of a field reference a memo entry holds. */
     enum class KeyKind : uint8_t {
@@ -268,7 +265,7 @@ class BackwardExecutor
     mayWriteKeys(analysis::NodeId n);
 
     /** Apply instruction backward transfer (non-invoke); false=prune. */
-    bool transfer(PathState &st, MethodSlot &slot,
+    bool transfer(PathState &st, const MethodSlot &slot,
                   const air::Instruction &instr);
 
     /** Handle an invoke backward: descend into callees or havoc. Pushes
@@ -299,9 +296,8 @@ class BackwardExecutor
     ExecutorOptions _opts;
     ExecutorStats _stats;
 
-    std::unordered_map<const air::Method *, MethodSlot> _slots;
-    //! NodeId -> its method's slot (null until first visit)
-    std::vector<MethodSlot *> _slotOfNode;
+    //! NodeId -> its method's slot
+    std::vector<MethodSlot> _slotOfNode;
 
     struct KeyMemoKey {
         const air::FieldRef *field;

@@ -6,6 +6,7 @@
 
 #include "air/parser.hh"
 #include "analysis/cfg.hh"
+#include "analysis/dataflow.hh"
 #include "analysis/dominators.hh"
 
 namespace sierra::analysis {
@@ -148,6 +149,58 @@ TEST(Cfg, ToStringMentionsBlocks)
     std::string s = cfg.toString();
     EXPECT_NE(s.find("B0"), std::string::npos);
     EXPECT_NE(s.find("exit"), std::string::npos);
+}
+
+TEST(Cfg, BranchTargetsOutsideTheBodyAddNoEdge)
+{
+    // The verifier reports such targets; the CFG (and every analysis
+    // built on it) must still be well-formed if asked.
+    std::unique_ptr<air::Module> hold;
+    air::Method *m = parseMethod(hold, R"(
+    method f(p0: int): void regs=2 {
+        @0: ifz r1 eq goto @900
+        @1: goto @3
+        @2: return-void
+    })");
+    Cfg cfg(*m);
+    // Blocks: [0], [1], [2], exit.
+    ASSERT_EQ(cfg.numBlocks(), 4);
+    EXPECT_EQ(cfg.blocks()[cfg.blockOf(0)].succs,
+              std::vector<int>{cfg.blockOf(1)});
+    EXPECT_EQ(cfg.blocks()[cfg.blockOf(1)].succs,
+              std::vector<int>{cfg.exitBlock()});
+    EXPECT_EQ(cfg.instrSuccs(0), std::vector<int>{1});
+    EXPECT_TRUE(cfg.instrSuccs(1).empty());
+    for (int i = 0; i < m->numInstrs(); ++i)
+        EXPECT_FALSE(cfg.isBranchTarget(i)) << i;
+
+    DominatorTree dom(cfg);
+    EXPECT_FALSE(dom.reachable(cfg.blockOf(2)));
+    MethodConstants facts(cfg);
+    EXPECT_TRUE(facts.reachable(1));
+    EXPECT_FALSE(facts.reachable(2));
+}
+
+TEST(Cfg, BranchTargetsAreMarked)
+{
+    std::unique_ptr<air::Module> hold;
+    air::Method *m = parseMethod(hold, R"(
+    method f(): void regs=2 {
+        @0: r1 = const 1
+        @1: ifz r1 eq goto @4
+        @2: r1 = const 2
+        @3: goto @5
+        @4: r1 = const 3
+        @5: return-void
+    })");
+    Cfg cfg(*m);
+    std::vector<int> targets;
+    for (int i = 0; i < m->numInstrs(); ++i) {
+        if (cfg.isBranchTarget(i))
+            targets.push_back(i);
+    }
+    // @2 starts a block (it follows a branch) but no branch names it.
+    EXPECT_EQ(targets, (std::vector<int>{4, 5}));
 }
 
 } // namespace

@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "cli.hh"
 #include "strict_json.hh"
+#include "test_helpers.hh"
 
 namespace sierra::cli {
 namespace {
+
+using test::TempFile;
 
 struct CliRun {
     int code;
@@ -26,21 +32,6 @@ run(std::vector<std::string> args)
     int code = runCli(args, out, err);
     return {code, out.str(), err.str()};
 }
-
-/** A temp file path that cleans itself up. */
-class TempFile
-{
-  public:
-    explicit TempFile(const std::string &suffix)
-    {
-        _path = std::string(std::tmpnam(nullptr)) + suffix;
-    }
-    ~TempFile() { std::remove(_path.c_str()); }
-    const std::string &path() const { return _path; }
-
-  private:
-    std::string _path;
-};
 
 TEST(Cli, HelpAndUnknownCommand)
 {
@@ -661,6 +652,45 @@ TEST(Cli, MissingFileFailsCleanly)
     CliRun r = run({"analyze", "/definitely/not/here.air"});
     EXPECT_EQ(r.code, 1);
     EXPECT_NE(r.err.find("cannot open"), std::string::npos);
+}
+
+TEST(Cli, BranchTargetOutsideTheBodyIsReportedNotFollowed)
+{
+    // One branch of a real bundle retargeted past the end of its
+    // method: lint reports it, and neither command may crash on it.
+    TempFile file(".air");
+    ASSERT_EQ(run({"dump", "APV", "-o", file.path()}).code, 0);
+    std::string text;
+    {
+        std::ifstream in(file.path());
+        text.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    const size_t at = text.find("@11: goto @14");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 13, "@11: goto @900");
+    {
+        std::ofstream out(file.path());
+        out << text;
+    }
+
+    // Each command runs in a child process, so a crash fails only
+    // this test: lint exits 1 with the verifier's finding, and
+    // analyze, whatever it decides about the bundle, exits rather
+    // than dying of a signal. The threadsafe style re-runs this test
+    // in the child, which removes its own copy of the bundle before
+    // exiting (std::exit skips destructors).
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    auto exitWith = [&](const CliRun &r) {
+        std::cerr << r.out;
+        std::remove(file.path().c_str());
+        std::exit(r.code);
+    };
+    EXPECT_EXIT(exitWith(run({"lint", file.path()})),
+                ::testing::ExitedWithCode(1),
+                "branch target @900 out of range");
+    EXPECT_EXIT(exitWith(run({"analyze", file.path()})),
+                [](int status) { return WIFEXITED(status); }, "");
 }
 
 } // namespace

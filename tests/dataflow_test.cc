@@ -142,6 +142,50 @@ TEST(DataflowConstants, LoopReachesFixpoint)
     EXPECT_TRUE(facts.before(1, 2).isConst());
 }
 
+TEST(DataflowConstants, SeedFoldsParameterBranchAndInvokeResult)
+{
+    std::unique_ptr<air::Module> hold;
+    air::Method *m = parseMethod(hold, R"(
+    method f(p0: int): int regs=5 {
+        @0: ifz r1 eq goto @3
+        @1: r2 = const 7
+        @2: return r2
+        @3: r3 = invoke-static T.g()
+        @4: r4 = add r3, r3
+        @5: return r4
+    })");
+    Cfg cfg(*m);
+
+    // Unseeded: the parameter and the call result are unknown.
+    MethodConstants plain(cfg);
+    EXPECT_EQ(plain.numInfeasibleEdges(), 0);
+    EXPECT_TRUE(plain.reachable(1));
+    EXPECT_FALSE(plain.after(3, 3).isConst());
+
+    // Seeded with p0 == 0 and g() returning 5: the fallthrough is dead
+    // and the call's result folds through the add.
+    ConstSeed seed;
+    seed.params.resize(static_cast<size_t>(m->firstTempReg()));
+    seed.params[1].state = ConstVal::State::Const;
+    seed.params[1].value = 0;
+    seed.invokeReturns[3].state = ConstVal::State::Const;
+    seed.invokeReturns[3].value = 5;
+    MethodConstants seeded(cfg, seed);
+    EXPECT_EQ(seeded.numInfeasibleEdges(), 1);
+    EXPECT_FALSE(seeded.edgeFeasible(0, 1));
+    EXPECT_TRUE(seeded.edgeFeasible(0, 3));
+    EXPECT_FALSE(seeded.reachable(1));
+    EXPECT_FALSE(seeded.reachable(2));
+    ASSERT_TRUE(seeded.before(0, 1).isConst());
+    EXPECT_EQ(seeded.before(0, 1).value, 0);
+    ASSERT_TRUE(seeded.after(3, 3).isConst());
+    EXPECT_EQ(seeded.after(3, 3).value, 5);
+    ASSERT_TRUE(seeded.before(5, 4).isConst());
+    EXPECT_EQ(seeded.before(5, 4).value, 10);
+    // `this` was seeded Bottom (no caller value yet), not Top.
+    EXPECT_EQ(seeded.before(0, 0).state, ConstVal::State::Bottom);
+}
+
 TEST(DataflowReachingDefs, EntryAndLocalDefs)
 {
     std::unique_ptr<air::Module> hold;

@@ -22,6 +22,7 @@
 #include "cli.hh"
 #include "corpus/named_apps.hh"
 #include "sierra/detector.hh"
+#include "test_helpers.hh"
 
 #ifndef SIERRA_GOLDEN_DIR
 #define SIERRA_GOLDEN_DIR "tests/golden"
@@ -29,6 +30,8 @@
 
 namespace sierra {
 namespace {
+
+using test::TempFile;
 
 std::string
 goldenFileName(const std::string &app_name)
@@ -105,21 +108,6 @@ TEST(GoldenReports, NullflowOffByteIdentical)
             << spec.name << ": report diverged from " << path;
     }
 }
-
-/** A temp file path that cleans itself up. */
-class TempFile
-{
-  public:
-    explicit TempFile(const std::string &suffix)
-    {
-        _path = std::string(std::tmpnam(nullptr)) + suffix;
-    }
-    ~TempFile() { std::remove(_path.c_str()); }
-    const std::string &path() const { return _path; }
-
-  private:
-    std::string _path;
-};
 
 /** Drop the `"timesMs": {...}` line: stage timings are the one
  *  nondeterministic part of the JSON report. */

@@ -21,9 +21,12 @@
 #include "cli.hh"
 #include "corpus/named_apps.hh"
 #include "sierra/detector.hh"
+#include "test_helpers.hh"
 
 namespace sierra {
 namespace {
+
+using test::TempFile;
 
 AppReport
 analyzeNamed(const std::string &name, const SierraOptions &options)
@@ -116,21 +119,6 @@ TEST(ReportTimes, GatedStagesDropFromTextButNeverFromEntries)
     EXPECT_EQ(line.find("nullflow"), std::string::npos) << line;
     EXPECT_EQ(line.find("enablement"), std::string::npos) << line;
 }
-
-/** A temp file path that cleans itself up. */
-class TempFile
-{
-  public:
-    explicit TempFile(const std::string &suffix)
-    {
-        _path = std::string(std::tmpnam(nullptr)) + suffix;
-    }
-    ~TempFile() { std::remove(_path.c_str()); }
-    const std::string &path() const { return _path; }
-
-  private:
-    std::string _path;
-};
 
 /** The `"timesMs": {...}` object of a JSON report ("" if absent). */
 std::string

@@ -318,5 +318,44 @@ TEST(Store, DiskKeysStayInsideTheirKindDirectory)
     }
 }
 
+TEST(Store, FailedDiskWritesAreCountedAndLeaveNothingBehind)
+{
+    TempDir dir;
+    auto noTmpFiles = [&] {
+        for (const auto &entry :
+             fs::recursive_directory_iterator(dir.path)) {
+            if (entry.path().extension() == ".tmp")
+                return false;
+        }
+        return true;
+    };
+    {
+        store::Store first(dir.path);
+        // The kind directory cannot be created: a regular file holds
+        // its name (this also stops a root process, unlike chmod).
+        std::ofstream(fs::path(dir.path) / "harness") << "in the way";
+        first.put("harness", "k1", "blob one");
+        EXPECT_EQ(first.stats().puts, 1);
+        EXPECT_EQ(first.stats().writeFailures, 1);
+        EXPECT_EQ(first.stats().bytesWritten, 0);
+        // The blob is still served from memory.
+        EXPECT_EQ(first.get("harness", "k1"), "blob one");
+
+        // The temp file is written but cannot replace the target (a
+        // non-empty directory holds its name): it must be removed.
+        fs::create_directories(fs::path(dir.path) / "shape" / "k2" / "x");
+        first.put("shape", "k2", "blob two");
+        EXPECT_EQ(first.stats().writeFailures, 2);
+        EXPECT_TRUE(noTmpFiles());
+
+        first.put("deps", "k3", "blob three");
+        EXPECT_EQ(first.stats().writeFailures, 2);
+        EXPECT_EQ(first.stats().bytesWritten, 10);
+    }
+    store::Store second(dir.path);
+    EXPECT_FALSE(second.get("harness", "k1").has_value());
+    EXPECT_EQ(second.get("deps", "k3"), "blob three");
+}
+
 } // namespace
 } // namespace sierra

@@ -3,6 +3,8 @@
 #ifndef SIERRA_TESTS_TEST_HELPERS_HH
 #define SIERRA_TESTS_TEST_HELPERS_HH
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -53,6 +55,32 @@ struct TempDir {
     }
     TempDir(const TempDir &) = delete;
     TempDir &operator=(const TempDir &) = delete;
+};
+
+/** A fresh, empty file under the system temp dir whose name ends in
+ *  `suffix` (created with mkstemps, so no other process can claim the
+ *  name), removed on destruction. */
+class TempFile
+{
+  public:
+    explicit TempFile(const std::string &suffix)
+    {
+        _path = (std::filesystem::temp_directory_path() /
+                 "sierra_test_XXXXXX")
+                    .string() +
+                suffix;
+        int fd = ::mkstemps(_path.data(), static_cast<int>(suffix.size()));
+        if (fd >= 0)
+            ::close(fd);
+    }
+    ~TempFile() { std::remove(_path.c_str()); }
+    TempFile(const TempFile &) = delete;
+    TempFile &operator=(const TempFile &) = delete;
+
+    const std::string &path() const { return _path; }
+
+  private:
+    std::string _path;
 };
 
 /** Find an action by label substring; -1 if absent. */
